@@ -32,6 +32,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .exactfloor import _as_index
+
 __all__ = [
     "Enclosure",
     "DeltaBounds",
@@ -49,21 +51,11 @@ __all__ = [
 _MAX_EXACT = 2 ** 53  # largest n the floating path accepts
 
 
-def _index(k: object, *, minimum: int = 1, name: str = "n") -> int:
-    try:
-        value = operator.index(k)  # type: ignore[arg-type]
-    except TypeError:
-        raise TypeError(
-            f"{name} must be an exact integer, got {type(k).__name__}"
-        ) from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def _check_float_range(n: int, name: str = "n", slack: int = 0) -> int:
     """The floating path refuses n beyond 2**53 rather than silently losing
-    integer precision; slack admits internally shifted arguments (n+2)."""
+    integer precision; slack admits internally shifted arguments (n+2).
+    This is the package's one 2**53 guard: the evaluator and the CLI reach
+    it through their library calls."""
     if n > _MAX_EXACT + slack:
         raise ValueError(
             f"{name}={n} exceeds 2**53; binary64 cannot carry it exactly: "
@@ -189,8 +181,8 @@ def eval_A(x: float) -> float:
 def sigma(nu: int, n: int) -> float:
     """The elementary remainder bound: 3/2 - n^(-1/2) for nu == 1, else
     (nu-1)^(-1/2) - n^(-1/2).  Arguments may arrive shifted (nu+2, n+2)."""
-    nu = _check_float_range(_index(nu, name="nu"), "nu", slack=2)
-    n = _check_float_range(_index(n, name="n"), "n", slack=2)
+    nu = _check_float_range(_as_index(nu, name="nu"), "nu", slack=2)
+    n = _check_float_range(_as_index(n), "n", slack=2)
     tail = 1.0 / math.sqrt(_as_exact_float(n, "n"))
     if nu == 1:
         return 1.5 - tail
@@ -200,8 +192,8 @@ def sigma(nu: int, n: int) -> float:
 def delta_bounds(nu: int, n: int) -> DeltaBounds:
     """The bracket (sigma(nu+2, n+2), sigma(nu, n)) around the remainder
     delta_{nu,n}; requires nu < n."""
-    nu = _index(nu, name="nu")
-    n = _check_float_range(_index(n, name="n"))
+    nu = _as_index(nu, name="nu")
+    n = _check_float_range(_as_index(n))
     if nu >= n:
         raise ValueError(f"need nu < n, got nu={nu}, n={n}")
     return DeltaBounds(sigma(nu + 2, n + 2), sigma(nu, n))
@@ -252,18 +244,22 @@ def _sigma_root(nu: int, n: int, r: float) -> float:
     return head - tail
 
 
-def _root_main_term(nu: int, n: int, r: float) -> float:
-    """The r-th-root main term
-    (r/(r+1)) (n+1)^(1/r) (n + (1-1/r)/2) - (r/(r+1)) nu^(1/r) (nu - (1+1/r)/2);
-    at r=2 it agrees with n A(n) - (2/3) sqrt(nu)(nu - 3/4) up to rounding."""
+def _root_main_term(nu: int, n: int, r: float) -> tuple[float, float, float]:
+    """The r-th-root main term t1 - t2 with
+    t1 = (r/(r+1)) (n+1)^(1/r) (n + (1-1/r)/2) and
+    t2 = (r/(r+1)) nu^(1/r) (nu - (1+1/r)/2), returned as (t1, t2, rel):
+    the evaluation error of t1 - t2 is at most (|t1| + |t2|) rel.  At r=2,
+    t1 - t2 agrees with n A(n) - (2/3) sqrt(nu)(nu - 3/4) up to rounding."""
     nf = _as_exact_float(n, "n")
     nuf = _as_exact_float(nu, "nu")
     c = r / (r + 1.0)
-    head_root, _ = _pow_value(nf + 1.0, 1.0 / r)
-    tail_root, _ = _pow_value(nuf, 1.0 / r)
+    head_root, rel_head = _pow_value(nf + 1.0, 1.0 / r)
+    tail_root, rel_tail = _pow_value(nuf, 1.0 / r)
     t1 = c * head_root * (nf + (1.0 - 1.0 / r) / 2.0)
     t2 = c * tail_root * (nuf - (1.0 + 1.0 / r) / 2.0)
-    return t1 - t2
+    # root relative errors magnified by the term sizes, plus a flat
+    # allowance for the remaining ~20 operations of the enclosure
+    return t1, t2, rel_head + rel_tail + 40.0 * 2.0 ** -53
 
 
 def _int_to_float_bracket(v: int) -> tuple[float, float]:
@@ -284,8 +280,8 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
     including the exp/log evaluation budget.
     """
     order = r if isinstance(r, RootOrder) else RootOrder(float(r))
-    nu = _index(nu, name="nu")
-    n = _index(n, name="n")
+    nu = _as_index(nu, name="nu")
+    n = _as_index(n)
     if nu >= n:
         raise ValueError(f"need nu < n, got nu={nu}, n={n}")
     rv = order.r
@@ -297,19 +293,10 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
     if rv == 2.0:
         return partial_sum_sqrt_enclosure(nu, n)
 
-    nf = _as_exact_float(n, "n")
-    nuf = _as_exact_float(nu, "nu")
-    c = rv / (rv + 1.0)
-    head_root, rel_head = _pow_value(nf + 1.0, 1.0 / rv)
-    tail_root, rel_tail = _pow_value(nuf, 1.0 / rv)
-    t1 = c * head_root * (nf + (1.0 - 1.0 / rv) / 2.0)
-    t2 = c * tail_root * (nuf - (1.0 + 1.0 / rv) / 2.0)
+    t1, t2, rel = _root_main_term(nu, n, rv)
     main = t1 - t2
     raw_lo = main - _sigma_root(nu, n, rv) / (12.0 * rv)
     raw_hi = main - _sigma_root(nu + 2, n + 2, rv) / (12.0 * rv)
-    # evaluation budget: root relative errors magnified by the term sizes,
-    # plus a flat allowance for the remaining ~20 operations
-    rel = rel_head + rel_tail + 40.0 * 2.0 ** -53
     eta = (abs(t1) + abs(t2)) * rel + 8.0 * math.ulp(max(abs(raw_lo), abs(raw_hi)))
     return Enclosure(raw_lo - eta, raw_hi + eta)
 

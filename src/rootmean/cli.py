@@ -31,8 +31,6 @@ from .exactfloor import AlphaThreshold, alpha_floor, floor_A_exact
 
 __all__ = ["QueryResult", "build_parser", "main"]
 
-_MAX_EXACT = 2 ** 53
-
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -74,14 +72,6 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _reject_beyond_exact(n: int, command: str) -> None:
-    if n > _MAX_EXACT:
-        raise ValueError(
-            f"{command} needs n <= 2**53 (binary64-exact integers); "
-            "the floor command accepts arbitrary-length n"
-        )
-
-
 def _run_floor(args: argparse.Namespace) -> "tuple[QueryResult, int]":
     value = floor_A_exact(args.n)
     return (
@@ -91,7 +81,6 @@ def _run_floor(args: argparse.Namespace) -> "tuple[QueryResult, int]":
 
 
 def _run_mean(args: argparse.Namespace) -> "tuple[QueryResult, int]":
-    _reject_beyond_exact(args.n, "mean")
     result = fast_mean(args.n, args.eps, nu=args.nu, cap=args.oracle_cap)
     inputs = {"n": str(args.n), "eps": repr(args.eps)}
     if args.nu is not None:
@@ -111,7 +100,6 @@ def _run_mean(args: argparse.Namespace) -> "tuple[QueryResult, int]":
 
 def _run_sum(args: argparse.Namespace) -> "tuple[QueryResult, int]":
     start, stop, root = args.start, args.stop, args.root
-    _reject_beyond_exact(stop, "sum")
     if start >= stop:
         raise ValueError(f"need --from < --to, got {start} >= {stop}")
     inputs = {"from": str(start), "to": str(stop), "root": repr(root)}
@@ -257,7 +245,6 @@ def _run_verify(args: argparse.Namespace) -> "tuple[QueryResult, int]":
 def _run_bench(args: argparse.Namespace) -> "tuple[QueryResult | None, int]":
     rows = []
     for n in args.sizes:
-        _reject_beyond_exact(n, "bench")
         t0 = time.perf_counter()
         oracle = oracle_mean(n, cap=args.oracle_cap)
         t1 = time.perf_counter()

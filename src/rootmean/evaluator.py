@@ -17,16 +17,20 @@ from __future__ import annotations
 
 import decimal
 import math
-import operator
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import _scaled
-from .asymptotic import DeltaBounds, Enclosure, delta_bounds, eval_A
-from .exactfloor import alpha_floor, floor_A_exact
+from .asymptotic import (
+    DeltaBounds,
+    Enclosure,
+    _check_float_range,
+    delta_bounds,
+    eval_A,
+)
+from .exactfloor import _as_index, alpha_floor, floor_A_exact
 
 __all__ = [
     "EvalPlan",
@@ -43,22 +47,9 @@ __all__ = [
 
 _CHUNK = 1 << 20  # fixed partition: reductions are bit-reproducible
 _DEFAULT_CAP = 100_000_000
-_MAX_EXACT = 2 ** 53
 
 DEFAULT_DIRECT_THRESHOLD = 10_000
 DEFAULT_NU_MIN = 16
-
-
-def _check_index(n: object, name: str) -> int:
-    if isinstance(n, bool):
-        raise TypeError(f"{name} must be an integer, not bool")
-    try:
-        n = operator.index(n)  # type: ignore[arg-type]
-    except TypeError:
-        raise TypeError(f"{name} must be an exact integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
-    return n
 
 
 def _check_eps(epsilon: float) -> float:
@@ -87,6 +78,22 @@ def _two_sum(total: float, x: float, comp: float) -> tuple[float, float]:
     return t, comp + residual
 
 
+def _fold_chunk(
+    roots: np.ndarray, total: float, comp: float, err: float
+) -> tuple[float, float, float]:
+    """Add one chunk of correctly rounded roots to the compensated carry
+    (total, comp) and charge its roundings to err: 0.5 spacing per term,
+    0.5 ulp for the fsum readout, 0.5 ulp for the carry update.  A zero comp
+    is charged ulp(0.0), the smallest subnormal: a floating sum that comes
+    out zero is exact, so any nonnegative charge covers it."""
+    chunk = math.fsum(roots)
+    err += 0.5 * float(np.sum(np.spacing(roots))) * (1.0 + 2.0 ** -40)
+    err += 0.5 * math.ulp(chunk)
+    total, comp = _two_sum(total, chunk, comp)
+    err += 0.5 * math.ulp(comp)
+    return total, comp, err
+
+
 def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
     """Ground-truth enclosure of sum_{k=nu}^{n} sqrt(k) by direct summation.
 
@@ -96,15 +103,11 @@ def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
     committed: 0.5 spacing per term, 0.5 ulp per chunk readout, 0.5 ulp per
     carry update, 0.5 ulp for the final collapse.
     """
-    nu = _check_index(nu, "nu")
-    n = _check_index(n, "n")
+    nu = _as_index(nu, name="nu")
+    n = _as_index(n)
     if nu > n:
         raise ValueError(f"need nu <= n, got nu={nu}, n={n}")
-    if n > _MAX_EXACT:
-        raise ValueError(
-            f"n={n} exceeds the binary64-exact integer range 2**53; "
-            "use the exact integer routines (floor_A_exact) for floors"
-        )
+    _check_float_range(n)
     cap = _oracle_cap(cap)
     count = n - nu + 1
     if count > cap:
@@ -115,11 +118,7 @@ def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
     for a in range(nu, n + 1, _CHUNK):
         b = min(a + _CHUNK - 1, n)
         roots = np.sqrt(np.arange(a, b + 1, dtype=np.float64))
-        chunk = math.fsum(roots)
-        err += 0.5 * float(np.sum(np.spacing(roots))) * (1.0 + 2.0 ** -40)
-        err += 0.5 * math.ulp(abs(chunk))
-        total, comp = _two_sum(total, chunk, comp)
-        err += 0.5 * math.ulp(abs(comp))
+        total, comp, err = _fold_chunk(roots, total, comp, err)
     s = total + comp
     err += 0.5 * math.ulp(abs(s))
     err *= 1.0 + 2.0 ** -30  # swallows the rounding of the err accumulation itself
@@ -131,7 +130,7 @@ def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
 def oracle_mean(n: int, *, cap: "int | None" = None) -> Enclosure:
     """Enclosure of the mean Sigma(n): oracle sum over [1, n] divided by n,
     endpoints rounded outward."""
-    n = _check_index(n, "n")
+    n = _as_index(n)
     s = oracle_sum_sqrt(1, n, cap=cap)
     return Enclosure(
         math.nextafter(s.lo / n, -math.inf), math.nextafter(s.hi / n, math.inf)
@@ -189,13 +188,9 @@ def choose_nu(
     direct_threshold, or a formula value violating nu <= n - 2, selects
     direct summation instead.
     """
-    n = _check_index(n, "n")
+    n = _as_index(n)
     epsilon = _check_eps(epsilon)
-    if n > _MAX_EXACT:
-        raise ValueError(
-            f"n={n} exceeds the binary64-exact integer range 2**53; "
-            "use the exact integer routines (floor_A_exact) for floors"
-        )
+    _check_float_range(n)
     if n < max(direct_threshold, 3):
         return EvalPlan(n, epsilon, n, direct_threshold, "direct")
     t = 24.0 * epsilon * float(n) ** 1.5
@@ -206,20 +201,12 @@ def choose_nu(
     return EvalPlan(n, epsilon, nu, direct_threshold, "split")
 
 
-def _float_upper(value: Fraction) -> float:
-    """Smallest binary64 >= the exact rational value."""
-    f = float(value)
-    while Fraction(f) < value:
-        f = math.nextafter(f, math.inf)
-    return f
-
-
-def _shortest_roundtrip(mid: Fraction, payload: float) -> str:
-    """Shortest decimal rendering of the certified midpoint that still parses
-    back to the binary64 payload."""
+def _shortest_roundtrip(num: int, den: int, payload: float) -> str:
+    """Shortest decimal rendering of the certified midpoint num/den that
+    still parses back to the binary64 payload."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        d = decimal.Decimal(mid.numerator) / decimal.Decimal(mid.denominator)
+        d = decimal.Decimal(num) / decimal.Decimal(den)
     for digits in range(1, 18):
         with decimal.localcontext() as ctx:
             ctx.prec = digits
@@ -239,40 +226,57 @@ def _eq_error_bound_up(n: int, nu: int) -> float:
     return up * (1.0 + 2.0 ** -48)
 
 
-def _readout_margin(value: float) -> Fraction:
-    return Fraction(math.ulp(abs(value) if value != 0.0 else 1.0))
+def _certify(
+    lo: int, hi: int, den: int, tail: float, plan: EvalPlan
+) -> CertifiedMean:
+    """The certificate for a mean bracketed by lo/den <= mean~ <= hi/den,
+    where mean~ is within tail of Sigma(n).
+
+    value is the correctly rounded midpoint (int/int true division rounds
+    once).  error_bound is the smallest binary64 >= tail + the half-width
+    (hi - lo)/(2 den) + one ulp(value) for the readout, decided exactly in
+    integers: tail and ulp(value) are dyadic, so the three terms share the
+    denominator 2 den times their two powers of two.
+    """
+    value = (lo + hi) / (2 * den)
+    tn, td = tail.as_integer_ratio()
+    un, ud = math.ulp(value).as_integer_ratio()
+    num = (hi - lo) * td * ud + 2 * den * (tn * ud + un * td)
+    bden = 2 * den * td * ud
+    bound = num / bden
+    fn, fd = bound.as_integer_ratio()
+    if fn * bden < num * fd:  # correctly rounded, so one step up suffices
+        bound = math.nextafter(bound, math.inf)
+    decimal_value = _shortest_roundtrip(lo + hi, 2 * den, value)
+    return CertifiedMean(value, bound, plan.method, plan, decimal_value)
 
 
 def _split_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
     n, nu = plan.n, plan.nu
     head = oracle_sum_sqrt(1, nu, cap=cap)  # this sum *is* nu * Sigma(nu)
-    head_lo, head_hi = Fraction(head.lo), Fraction(head.hi)
     a_n_lo, a_n_hi = _scaled.nA_enc(n)  # n A(n), scaled 2**96
     a_nu_lo, a_nu_hi = _scaled.nA_enc(nu)  # nu A(nu), scaled 2**96
-    scale = _scaled.ONE
-    # exact rational interval for Sigma~ = (n A(n) + nu Sigma(nu) - nu A(nu)) / n;
-    # binary64 would cancel ~n^(3/2)-sized operands down to the 1e-7 scale and
-    # lose the certification, so the one rounding happens at the readout below
-    lo = (Fraction(a_n_lo, scale) + head_lo - Fraction(a_nu_hi, scale)) / n
-    hi = (Fraction(a_n_hi, scale) + head_hi - Fraction(a_nu_lo, scale)) / n
-    mid = (lo + hi) / 2
-    half = (hi - lo) / 2
-    value = float(mid)
-    bound = Fraction(_eq_error_bound_up(n, nu)) + half + _readout_margin(value)
-    return CertifiedMean(
-        value, _float_upper(bound), "split", plan, _shortest_roundtrip(mid, value)
-    )
+    # the head sum is >= 1, so its outward-rounded endpoints stay >= 1/2 and
+    # their ulps (>= 2**-53) are multiples of 2**-96: scaling them to the
+    # 2**96 grid is exact
+    head_lo = int(math.ldexp(head.lo, _scaled.BITS))
+    head_hi = int(math.ldexp(head.hi, _scaled.BITS))
+    # exact integer bracket for n Sigma~ = n A(n) + nu Sigma(nu) - nu A(nu)
+    # over the denominator n 2**96; binary64 would cancel ~n^(3/2)-sized
+    # operands down to the 1e-7 scale and lose the certification, so the one
+    # rounding happens at the readout
+    lo = a_n_lo + head_lo - a_nu_hi
+    hi = a_n_hi + head_hi - a_nu_lo
+    return _certify(lo, hi, n * _scaled.ONE, _eq_error_bound_up(n, nu), plan)
 
 
 def _direct_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
     enc = oracle_mean(plan.n, cap=cap)
-    lo, hi = Fraction(enc.lo), Fraction(enc.hi)
-    mid = (lo + hi) / 2
-    value = float(mid)
-    bound = (hi - lo) / 2 + _readout_margin(value)
-    return CertifiedMean(
-        value, _float_upper(bound), "direct", plan, _shortest_roundtrip(mid, value)
-    )
+    lo_num, lo_den = enc.lo.as_integer_ratio()
+    hi_num, hi_den = enc.hi.as_integer_ratio()
+    den = max(lo_den, hi_den)  # powers of two: the larger is a common multiple
+    lo, hi = lo_num * (den // lo_den), hi_num * (den // hi_den)
+    return _certify(lo, hi, den, 0.0, plan)
 
 
 def fast_mean(
@@ -288,21 +292,27 @@ def fast_mean(
 
     The split path sums only 1..nu and closes the rest with Sigma~; its
     A-terms are bracketed in exact scaled integers and combined with the
-    oracle sum as exact rationals, so the only binary64 rounding is the final
+    oracle sum as exact integers, so the only binary64 rounding is the final
     readout.  The remainder bound can sit within rounding slack of epsilon,
     in which case the split point is raised and ultimately the direct oracle
     answers.  A forced nu that cannot certify epsilon raises instead of
-    returning a looser bound.
+    returning a looser bound, and so does an epsilon below the readout floor.
     """
-    n = _check_index(n, "n")
+    n = _as_index(n)
     epsilon = _check_eps(epsilon)
-    if n > _MAX_EXACT:
+    _check_float_range(n)
+    # every certificate charges ulp(value) for the readout; one that met
+    # epsilon < 1/2 would put value within 1/2 of Sigma(n), so value >=
+    # floor(Sigma(n))/2 and ulp(value) >= ulp(floor)/2 > epsilon.  No plan
+    # can certify below that floor: refuse before summing anything
+    readout_floor = math.ulp(floor_A_exact(n)) / 2
+    if epsilon < readout_floor:
         raise ValueError(
-            f"n={n} exceeds the binary64-exact integer range 2**53; "
-            "use the exact integer routines (floor_A_exact) for floors"
+            f"cannot certify epsilon={epsilon!r} for n={n}: it is below the "
+            f"readout floor {readout_floor!r}, half an ulp of floor(Sigma(n))"
         )
     if nu is not None:
-        nu = _check_index(nu, "nu")
+        nu = _as_index(nu, name="nu")
         if nu > n - 2:
             raise ValueError(f"forced nu must satisfy nu <= n - 2, got nu={nu}, n={n}")
         plan = EvalPlan(n, epsilon, nu, direct_threshold, "split")
@@ -344,7 +354,7 @@ def mean_decomposition_check(
     recovery error, so binary64 decides this safely (unlike general nu ~ n,
     which needs the scaled-integer path).
     """
-    n = _check_index(n, "n")
+    n = _as_index(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     mid = oracle_mean(n, cap=cap).midpoint()
@@ -391,11 +401,7 @@ def _prefix_mean_chunks(max_n: int):
         means = prefix / ks
         mean_bound = bound / ks * (1.0 + 2.0 ** -40) + np.spacing(np.abs(means))
         yield a, b, means, mean_bound
-        chunk_total = math.fsum(roots)
-        base_err += 0.5 * float(np.sum(np.spacing(roots))) * (1.0 + 2.0 ** -40)
-        base_err += 0.5 * math.ulp(abs(chunk_total))
-        carry_s, carry_c = _two_sum(carry_s, chunk_total, carry_c)
-        base_err += 0.5 * math.ulp(abs(carry_c) if carry_c != 0.0 else 1e-300)
+        carry_s, carry_c, base_err = _fold_chunk(roots, carry_s, carry_c, base_err)
 
 
 def _oracle_mean_many(
@@ -403,7 +409,7 @@ def _oracle_mean_many(
 ) -> "dict[int, Enclosure]":
     """Oracle mean enclosures at several points in one prefix pass (the same
     rigorous bounds as the floor sweep, read off at the requested marks)."""
-    marks = sorted({_check_index(int(x), "n") for x in ns})
+    marks = sorted({_as_index(int(x)) for x in ns})
     if not marks:
         return {}
     top = marks[-1]
@@ -436,12 +442,11 @@ def sweep_theorem1(
     mean at distance 8.3e-5 (n=995005 within the first 10^6), straddles
     beyond n=1 would signal degenerate bounds and fail loudly.
     """
-    max_n = _check_index(max_n, "max_n")
+    max_n = _as_index(max_n, name="max_n")
     cap = _oracle_cap(cap)
     if max_n > cap:
         raise ValueError(f"range of {max_n} terms exceeds the oracle cap {cap}")
-    if max_n > _MAX_EXACT:
-        raise ValueError(f"max_n={max_n} exceeds the binary64-exact range 2**53")
+    _check_float_range(max_n, "max_n")
 
     expected = _expected_floor_table(max_n)
     mismatches: list[tuple[int, int, int]] = []

@@ -34,17 +34,21 @@ Index = int
 
 
 def _as_index(n: object, *, minimum: int = 1, name: str = "n") -> int:
-    """Validate an exact integer argument.  Floats are refused outright: the
-    whole point of this module is that nothing ever rounds."""
-    try:
-        value = operator.index(n)  # type: ignore[arg-type]
-    except TypeError:
-        raise TypeError(
-            f"{name} must be an exact integer, got {type(n).__name__}"
-        ) from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    """Validate an exact integer argument; the one index check of the package.
+    Floats are refused outright (the whole point of this module is that
+    nothing ever rounds), and so is bool, which is an int only by accident."""
+    if type(n) is not int:  # a plain int, the common case, needs no conversion
+        if isinstance(n, bool):
+            raise TypeError(f"{name} must be an integer, not bool")
+        try:
+            n = operator.index(n)  # type: ignore[arg-type]
+        except TypeError:
+            raise TypeError(
+                f"{name} must be an exact integer, got {type(n).__name__}"
+            ) from None
+    if n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+    return n
 
 
 def isqrt(k: int) -> int:

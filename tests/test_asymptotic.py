@@ -239,6 +239,8 @@ class TestPartialSumSqrt:
             partial_sum_sqrt_enclosure(1, 2 ** 53 + 2)
         with pytest.raises(TypeError):
             partial_sum_sqrt_enclosure(1.0, 10)
+        with pytest.raises(TypeError):
+            partial_sum_sqrt_enclosure(True, 10)
 
     def test_boundary_of_float_range_works(self):
         e = partial_sum_sqrt_enclosure(1, 2 ** 53)
@@ -273,7 +275,8 @@ class TestPartialSumRoot:
         # the generic main term at r=2 must reproduce the square-root main
         # term n A(n) - (2/3) sqrt(nu)(nu - 3/4) to rounding accuracy
         for nu, n in [(1, 10), (5, 50), (3, 1000), (100, 10 ** 7)]:
-            generic = _root_main_term(nu, n, 2.0)
+            t1, t2, _ = _root_main_term(nu, n, 2.0)
+            generic = t1 - t2
             nf = float(n)
             direct = nf * eval_A(nf) - (2.0 / 3.0) * math.sqrt(float(nu)) * (nu - 0.75)
             assert math.isclose(generic, direct, rel_tol=1e-13)

@@ -134,6 +134,15 @@ class TestSum:
         assert rec["error_bound"] == "0"
         assert rec["method"] == "exact"
 
+    def test_r1_exact_beyond_float_range(self, capsys):
+        # the arithmetic series needs no binary64, so --to may pass 2**53
+        stop = 2 ** 53 + 2
+        code, out, _ = run_cli(capsys, "sum", "--from", "1", "--to", str(stop), "--root", "1")
+        rec = parse_text_record(out)
+        assert code == 0
+        assert rec["value"] == str(stop * (stop + 1) // 2)
+        assert rec["error_bound"] == "0" and rec["method"] == "exact"
+
     def test_default_root_is_square(self, capsys):
         code, out, _ = run_cli(capsys, "sum", "--from", "1", "--to", "100")
         rec = parse_text_record(out)

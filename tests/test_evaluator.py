@@ -2,6 +2,8 @@
 floor sweep machinery."""
 
 import math
+import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from rootmean.evaluator import (
     _CHUNK,
     EvalPlan,
+    _certify,
     _oracle_mean_many,
     _expected_floor_table,
     choose_nu,
@@ -159,6 +162,31 @@ class TestEvalPlan:
         assert plan.nu == 98
 
 
+class TestCertify:
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=2 ** 200),
+        st.integers(min_value=0, max_value=2 ** 120),
+        st.integers(min_value=1, max_value=2 ** 160),
+        st.floats(min_value=0.0, max_value=1e-3, allow_nan=False),
+    )
+    def test_integer_readout_matches_rationals(self, lo, width, den, tail):
+        plan = EvalPlan(10, 1.0, 10, 10 ** 4, "direct")
+        hi = lo + width
+        r = _certify(lo, hi, den, tail, plan)
+        mid = Fraction(lo + hi, 2 * den)
+        # value is the correctly rounded midpoint: no neighbour is closer
+        gap = abs(Fraction(r.value) - mid)
+        for step in (-math.inf, math.inf):
+            assert gap <= abs(Fraction(math.nextafter(r.value, step)) - mid)
+        # error_bound is the smallest binary64 >= the exact budget
+        exact = Fraction(tail) + Fraction(hi - lo, 2 * den) + Fraction(math.ulp(r.value))
+        assert Fraction(r.error_bound) >= exact
+        assert Fraction(math.nextafter(r.error_bound, -math.inf)) < exact
+        assert float(r.decimal_value) == r.value
+        assert (r.method, r.plan) == ("direct", plan)
+
+
 class TestFastMean:
     def test_reference_split_certificate(self):
         r = fast_mean(10 ** 7, 1e-9, nu=100)
@@ -180,6 +208,16 @@ class TestFastMean:
     def test_forced_nu_that_cannot_certify_raises(self):
         with pytest.raises(ValueError, match="cannot certify"):
             fast_mean(10 ** 6, 1e-14, nu=16)
+
+    @pytest.mark.parametrize("n,epsilon", [(10 ** 15, 1e-9), (10 ** 9, 1e-12)])
+    def test_below_readout_floor_fails_fast(self, n, epsilon):
+        # epsilon under half an ulp of floor(Sigma(n)) can never be met; the
+        # refusal must come before any head sum or escalation (seconds of
+        # summation before the check existed)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot certify.*readout floor"):
+            fast_mean(n, epsilon)
+        assert time.perf_counter() - start < 1.0
 
     def test_escalation_reaches_tolerance(self):
         # the formula split point undershoots here; escalation must still land
@@ -240,6 +278,8 @@ class TestFastMean:
             fast_mean(2 ** 53 + 2, 1e-9)
         with pytest.raises(TypeError):
             fast_mean(100.0, 1e-9)
+        with pytest.raises(TypeError):
+            fast_mean(True, 0.5)
 
 
 class TestMeanDecomposition:

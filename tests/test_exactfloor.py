@@ -84,6 +84,8 @@ class TestFloorAExact:
             floor_A_exact(8.0)
         with pytest.raises(TypeError):
             floor_A_exact("8")
+        with pytest.raises(TypeError):
+            floor_A_exact(True)
         with pytest.raises(ValueError):
             floor_A_exact(0)
 
