@@ -20,8 +20,9 @@ with remainder delta_r/(12 r), delta_r bracketed by sigma_r of the same
 shape (2 - 1/r - n^(-1+1/r) for nu == 1, else (nu-1)^(-1+1/r) - n^(-1+1/r));
 r = 1 is exact (delta_1 = 0: the arithmetic series).
 
-Endpoints are binary64, widened outward by a rounding margin so the true
-real value is guaranteed inside despite evaluation error.  Integer inputs so
+Endpoints are binary64.  The square-root and r = 1 sums are bracketed
+exactly in integers (_scaled) and rounded outward once; the other r are
+evaluated in binary64 and widened by an error budget.  Integer inputs so
 large that binary64 cannot represent them exactly are refused rather than
 silently rounded.
 """
@@ -32,6 +33,7 @@ import math
 import operator
 from dataclasses import dataclass
 
+from . import _scaled
 from .exactfloor import _as_index
 
 __all__ = [
@@ -130,7 +132,8 @@ class Enclosure:
 class DeltaBounds:
     """Elementary bracket (lower, upper) pinning the remainder delta strictly
     from both sides in exact arithmetic.  The binary64 endpoints may collide
-    for astronomically close nu ~ n (harmless: callers only widen by them)."""
+    for nu close to a large n; the enclosures take the bracket from _scaled
+    instead."""
 
     lower: float
     upper: float
@@ -159,13 +162,6 @@ class RootOrder:
         if not math.isfinite(r) or r < 1.0:
             raise ValueError(f"r must be a finite real >= 1, got {self.r!r}")
         object.__setattr__(self, "r", r)
-
-
-def _widen(lo: float, hi: float, ops: int) -> tuple[float, float]:
-    """Outward rounding margin: ops bounds the number of floating operations
-    behind each endpoint; 4 ulp per operation swallows their worst case."""
-    f = 4.0 * ops
-    return lo - f * math.ulp(abs(lo)), hi + f * math.ulp(abs(hi))
 
 
 def eval_A(x: float) -> float:
@@ -199,25 +195,36 @@ def delta_bounds(nu: int, n: int) -> DeltaBounds:
     return DeltaBounds(sigma(nu + 2, n + 2), sigma(nu, n))
 
 
-_SQRT_SUM_OPS = 8  # float operations per endpoint of the sqrt main term
-
-
-def _sqrt_sum_raw(nu: int, n: int) -> tuple[float, float]:
-    """Pre-widening endpoints [M - upper/24, M - lower/24] with
-    M = n A(n) - (2/3) sqrt(nu) (nu - 3/4)."""
-    bounds = delta_bounds(nu, n)
-    nf = _as_exact_float(n, "n")
-    nuf = _as_exact_float(nu, "nu")
-    main = nf * eval_A(nf) - (2.0 / 3.0) * math.sqrt(nuf) * (nuf - 0.75)
-    return main - bounds.upper / 24.0, main - bounds.lower / 24.0
+def _outward(lo: int, hi: int, den: int = 1) -> Enclosure:
+    """The binary64 enclosure of the rational interval [lo/den, hi/den]:
+    each end is the correctly rounded int/int division, stepped one ulp
+    outward when it rounded inward."""
+    f_lo, f_hi = lo / den, hi / den
+    num, fden = f_lo.as_integer_ratio()
+    if num * den > lo * fden:
+        f_lo = math.nextafter(f_lo, -math.inf)
+    num, fden = f_hi.as_integer_ratio()
+    if num * den < hi * fden:
+        f_hi = math.nextafter(f_hi, math.inf)
+    return Enclosure(f_lo, f_hi)
 
 
 def partial_sum_sqrt_enclosure(nu: int, n: int) -> Enclosure:
     """Certified enclosure of sum_{k=nu}^{n} sqrt(k) for 1 <= nu < n, without
-    summing anything: the closed-form main term minus the delta/24 bracket,
-    endpoints widened outward for rounding."""
-    lo, hi = _sqrt_sum_raw(nu, n)
-    return Enclosure(*_widen(lo, hi, _SQRT_SUM_OPS))
+    summing anything: 24 sum = 24 (n A(n) - (2/3) sqrt(nu)(nu - 3/4)) - delta,
+    bracketed in 2**96-scaled integers with delta between sigma(nu+2, n+2)
+    and sigma(nu, n), then rounded outward once."""
+    nu = _as_index(nu, name="nu")
+    n = _check_float_range(_as_index(n))
+    if nu >= n:
+        raise ValueError(f"need nu < n, got nu={nu}, n={n}")
+    a_lo, a_hi = _scaled.nA_enc(n)
+    h_lo, h_hi = _scaled.head_enc(nu)
+    s_hi = _scaled.sigma_enc(nu, n)[1]
+    s2_lo = _scaled.sigma_enc(nu + 2, n + 2)[0]
+    return _outward(
+        24 * (a_lo - h_hi) - s_hi, 24 * (a_hi - h_lo) - s2_lo, 24 * _scaled.ONE
+    )
 
 
 def _pow_value(x: float, e: float) -> tuple[float, float]:
@@ -262,15 +269,6 @@ def _root_main_term(nu: int, n: int, r: float) -> tuple[float, float, float]:
     return t1, t2, rel_head + rel_tail + 40.0 * 2.0 ** -53
 
 
-def _int_to_float_bracket(v: int) -> tuple[float, float]:
-    f = float(v)
-    if f == v:
-        return f, f
-    if f < v:
-        return f, math.nextafter(f, math.inf)
-    return math.nextafter(f, -math.inf), f
-
-
 def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclosure:
     """Certified enclosure of sum_{k=nu}^{n} k^(1/r) for 1 <= nu < n, r >= 1.
 
@@ -288,7 +286,7 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
     if rv == 1.0:
         # exact integer series: no floating evaluation, so no width limit
         exact = (n * (n + 1) - nu * (nu - 1)) // 2
-        return Enclosure(*_int_to_float_bracket(exact))
+        return _outward(exact, exact)
     _check_float_range(n)
     if rv == 2.0:
         return partial_sum_sqrt_enclosure(nu, n)

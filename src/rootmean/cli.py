@@ -27,7 +27,7 @@ from .asymptotic import (
     partial_sum_root_enclosure,
 )
 from .evaluator import fast_mean, oracle_mean, sweep_theorem1
-from .exactfloor import AlphaThreshold, alpha_floor, floor_A_exact
+from .exactfloor import AlphaThreshold, _as_index, alpha_floor, floor_A_exact
 
 __all__ = ["QueryResult", "build_parser", "main"]
 
@@ -64,12 +64,9 @@ class QueryResult:
 
 def _positive_int(text: str) -> int:
     try:
-        n = int(text, 10)
+        return _as_index(int(text, 10))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}") from None
 
 
 def _run_floor(args: argparse.Namespace) -> "tuple[QueryResult, int]":
@@ -189,24 +186,27 @@ def _verify_lemma2(max_n: int, cap: "int | None"):
 
 def _verify_lemma3(max_n: int, cap: "int | None"):
     """At every threshold alpha(m) = (9/4)(m+1)^2 - 2 for m <= max_n: the
-    exact floor steps from m to m+1 across alpha, and (for m small enough
-    that binary64 can separate the ~1/(9(m+1)) gap) A(n) < m+1 at n =
-    floor(alpha) while A(n) - 1/(4n) > m+1 just past it."""
+    exact floor steps from m to m+1 across alpha, and A(n) < m+1 at n =
+    floor(alpha) while A(n) - 1/(4n) > m+1 just past it.  The cap on max_n
+    bounds the loop and keeps m small enough that binary64 can separate the
+    ~1/(9(m+1)) gap."""
+    if max_n > 1_000_000:
+        raise ValueError("lemma3 mode checks every threshold; --max-n <= 10**6")
     checked = 0
     failures = []
     for m in range(1, max_n + 1):
         at = AlphaThreshold.of(m)
         n = alpha_floor(m)
         checked += 1
+        nf, n2f = float(n), float(n + 1)
         ok = (
             at.admits(n)
             and not at.admits(n + 1)
             and floor_A_exact(n) == m
             and floor_A_exact(n + 1) == m + 1
+            and eval_A(nf) < m + 1
+            and eval_A(n2f) - 0.25 / n2f > m + 1
         )
-        if ok and m <= 1_000_000:
-            nf, n2f = float(n), float(n + 1)
-            ok = eval_A(nf) < m + 1 and eval_A(n2f) - 0.25 / n2f > m + 1
         if not ok:
             failures.append(
                 (str(n), f"floor steps {m} -> {m + 1} at alpha({m})", "violated")

@@ -61,7 +61,13 @@ def _check_eps(epsilon: float) -> float:
 
 def _oracle_cap(cap: "int | None") -> int:
     if cap is None:
-        cap = int(os.environ.get("ROOTMEAN_ORACLE_CAP", _DEFAULT_CAP))
+        text = os.environ.get("ROOTMEAN_ORACLE_CAP")
+        try:
+            cap = _DEFAULT_CAP if text is None else int(text)
+        except ValueError:
+            raise ValueError(
+                f"ROOTMEAN_ORACLE_CAP must be an integer, got {text!r}"
+            ) from None
     if cap < 1:
         raise ValueError(f"oracle cap must be >= 1, got {cap}")
     return cap
@@ -145,7 +151,6 @@ class EvalPlan:
     n: int
     epsilon: float
     nu: int
-    direct_threshold: int
     method: str  # "direct" | "split"
 
     def __post_init__(self) -> None:
@@ -175,30 +180,24 @@ class CertifiedMean:
     decimal_value: str
 
 
-def choose_nu(
-    n: int,
-    epsilon: float,
-    *,
-    direct_threshold: int = DEFAULT_DIRECT_THRESHOLD,
-    nu_min: int = DEFAULT_NU_MIN,
-) -> EvalPlan:
+def choose_nu(n: int, epsilon: float) -> EvalPlan:
     """Split-point selection: nu = max(1, ceil(n (24 eps n^(3/2) + 1)^(-2)))
     drives the closed-form remainder bound to <= eps.  The point is clamped
-    up to nu_min (a tiny oracle leg is cheap and better conditioned); n below
-    direct_threshold, or a formula value violating nu <= n - 2, selects
-    direct summation instead.
+    up to DEFAULT_NU_MIN (a tiny oracle leg is cheap and better conditioned);
+    n below DEFAULT_DIRECT_THRESHOLD, or a formula value violating
+    nu <= n - 2, selects direct summation instead.
     """
     n = _as_index(n)
     epsilon = _check_eps(epsilon)
     _check_float_range(n)
-    if n < max(direct_threshold, 3):
-        return EvalPlan(n, epsilon, n, direct_threshold, "direct")
+    if n < DEFAULT_DIRECT_THRESHOLD:
+        return EvalPlan(n, epsilon, n, "direct")
     t = 24.0 * epsilon * float(n) ** 1.5
     nu = max(1, math.ceil(float(n) / ((t + 1.0) * (t + 1.0))))
-    nu = max(nu, nu_min)
+    nu = max(nu, DEFAULT_NU_MIN)
     if nu > n - 2:
-        return EvalPlan(n, epsilon, n, direct_threshold, "direct")
-    return EvalPlan(n, epsilon, nu, direct_threshold, "split")
+        return EvalPlan(n, epsilon, n, "direct")
+    return EvalPlan(n, epsilon, nu, "split")
 
 
 def _shortest_roundtrip(num: int, den: int, payload: float) -> str:
@@ -207,7 +206,10 @@ def _shortest_roundtrip(num: int, den: int, payload: float) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         d = decimal.Decimal(num) / decimal.Decimal(den)
-    for digits in range(1, 18):
+    # repr(payload) is the shortest string that parses back to payload, so
+    # no rendering with fewer significant digits can: start the search there
+    shortest = len(repr(payload).split("e")[0].replace(".", "").strip("0"))
+    for digits in range(shortest, 18):
         with decimal.localcontext() as ctx:
             ctx.prec = digits
             cand = str(+d)  # unary plus rounds to the context precision
@@ -216,33 +218,19 @@ def _shortest_roundtrip(num: int, den: int, payload: float) -> str:
     return repr(payload)
 
 
-def _eq_error_bound_up(n: int, nu: int) -> float:
-    """Upper evaluation of the closed-form remainder bound
-    (1/24) n^(-3/2) ((nu/n)^(-1/2) - 1) = (1/(n sqrt(nu)) - n^(-3/2)) / 24."""
-    nf = float(n)
-    a = 1.0 / (nf * math.sqrt(float(nu)))  # three roundings: rel error < 2**-51
-    b = 1.0 / (nf * math.sqrt(nf))
-    up = (a * (1.0 + 2.0 ** -48) - b * (1.0 - 2.0 ** -48)) / 24.0
-    return up * (1.0 + 2.0 ** -48)
-
-
-def _certify(
-    lo: int, hi: int, den: int, tail: float, plan: EvalPlan
-) -> CertifiedMean:
-    """The certificate for a mean bracketed by lo/den <= mean~ <= hi/den,
-    where mean~ is within tail of Sigma(n).
+def _certify(lo: int, hi: int, den: int, plan: EvalPlan) -> CertifiedMean:
+    """The certificate for a mean bracketed by lo/den <= Sigma(n) <= hi/den.
 
     value is the correctly rounded midpoint (int/int true division rounds
-    once).  error_bound is the smallest binary64 >= tail + the half-width
+    once).  error_bound is the smallest binary64 >= the half-width
     (hi - lo)/(2 den) + one ulp(value) for the readout, decided exactly in
-    integers: tail and ulp(value) are dyadic, so the three terms share the
-    denominator 2 den times their two powers of two.
+    integers: ulp(value) is dyadic, so both terms share the denominator
+    2 den times its power of two.
     """
     value = (lo + hi) / (2 * den)
-    tn, td = tail.as_integer_ratio()
     un, ud = math.ulp(value).as_integer_ratio()
-    num = (hi - lo) * td * ud + 2 * den * (tn * ud + un * td)
-    bden = 2 * den * td * ud
+    num = (hi - lo) * ud + 2 * den * un
+    bden = 2 * den * ud
     bound = num / bden
     fn, fd = bound.as_integer_ratio()
     if fn * bden < num * fd:  # correctly rounded, so one step up suffices
@@ -264,10 +252,13 @@ def _split_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
     # exact integer bracket for n Sigma~ = n A(n) + nu Sigma(nu) - nu A(nu)
     # over the denominator n 2**96; binary64 would cancel ~n^(3/2)-sized
     # operands down to the 1e-7 scale and lose the certification, so the one
-    # rounding happens at the readout
-    lo = a_n_lo + head_lo - a_nu_hi
-    hi = a_n_hi + head_hi - a_nu_lo
-    return _certify(lo, hi, n * _scaled.ONE, _eq_error_bound_up(n, nu), plan)
+    # rounding happens at the readout.  n Sigma~ - n Sigma(n) = delta(nu+1, n)
+    # / 24 lies in (0, sigma(nu+1, n)/24): widening both ends by that tail
+    # brackets n Sigma(n) and leaves the midpoint where it was
+    tail = -(-_scaled.sigma_enc(nu + 1, n)[1] // 24)
+    lo = a_n_lo + head_lo - a_nu_hi - tail
+    hi = a_n_hi + head_hi - a_nu_lo + tail
+    return _certify(lo, hi, n * _scaled.ONE, plan)
 
 
 def _direct_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
@@ -276,7 +267,7 @@ def _direct_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
     hi_num, hi_den = enc.hi.as_integer_ratio()
     den = max(lo_den, hi_den)  # powers of two: the larger is a common multiple
     lo, hi = lo_num * (den // lo_den), hi_num * (den // hi_den)
-    return _certify(lo, hi, den, 0.0, plan)
+    return _certify(lo, hi, den, plan)
 
 
 def fast_mean(
@@ -284,8 +275,6 @@ def fast_mean(
     epsilon: float,
     *,
     nu: "int | None" = None,
-    direct_threshold: int = DEFAULT_DIRECT_THRESHOLD,
-    nu_min: int = DEFAULT_NU_MIN,
     cap: "int | None" = None,
 ) -> CertifiedMean:
     """Certified mean of the first n square roots with error_bound <= epsilon.
@@ -315,7 +304,7 @@ def fast_mean(
         nu = _as_index(nu, name="nu")
         if nu > n - 2:
             raise ValueError(f"forced nu must satisfy nu <= n - 2, got nu={nu}, n={n}")
-        plan = EvalPlan(n, epsilon, nu, direct_threshold, "split")
+        plan = EvalPlan(n, epsilon, nu, "split")
         result = _split_mean(plan, cap)
         if result.error_bound > epsilon:
             raise ValueError(
@@ -324,7 +313,7 @@ def fast_mean(
             )
         return result
 
-    plan = choose_nu(n, epsilon, direct_threshold=direct_threshold, nu_min=nu_min)
+    plan = choose_nu(n, epsilon)
     while plan.method == "split":
         result = _split_mean(plan, cap)
         if result.error_bound <= epsilon:
@@ -332,8 +321,8 @@ def fast_mean(
         bigger = min(4 * plan.nu, n - 2)
         if bigger <= plan.nu:
             break
-        plan = EvalPlan(n, epsilon, bigger, plan.direct_threshold, "split")
-    result = _direct_mean(EvalPlan(n, epsilon, n, direct_threshold, "direct"), cap)
+        plan = EvalPlan(n, epsilon, bigger, "split")
+    result = _direct_mean(EvalPlan(n, epsilon, n, "direct"), cap)
     if result.error_bound > epsilon:
         raise ValueError(
             f"cannot certify epsilon={epsilon!r} for n={n}: "
@@ -409,7 +398,7 @@ def _oracle_mean_many(
 ) -> "dict[int, Enclosure]":
     """Oracle mean enclosures at several points in one prefix pass (the same
     rigorous bounds as the floor sweep, read off at the requested marks)."""
-    marks = sorted({_as_index(int(x)) for x in ns})
+    marks = sorted({_as_index(x) for x in ns})
     if not marks:
         return {}
     top = marks[-1]

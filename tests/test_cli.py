@@ -201,6 +201,12 @@ class TestVerify:
         )
         assert code == 2 and "10**6" in err
 
+    def test_lemma3_mode_is_bounded(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--max-n", "2000000", "--mode", "lemma3"
+        )
+        assert code == 2 and "10**6" in err
+
     def test_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "--max-n", "10", "--mode", "nosuch")
@@ -237,6 +243,11 @@ class TestOracleCap:
         monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "10")
         code, _, err = run_cli(capsys, "mean", "100000", "--eps", "1e-12")
         assert code == 2 and "cap" in err
+
+    def test_malformed_env_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "lots")
+        code, _, err = run_cli(capsys, "mean", "100", "--eps", "1e-9")
+        assert code == 2 and "ROOTMEAN_ORACLE_CAP" in err
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "10")

@@ -14,6 +14,7 @@ from rootmean.evaluator import (
     _CHUNK,
     EvalPlan,
     _certify,
+    _direct_mean,
     _oracle_mean_many,
     _expected_floor_table,
     choose_nu,
@@ -120,13 +121,6 @@ class TestChooseNu:
         p = choose_nu(10 ** 4, 1e-15)
         assert p.method == "direct"
 
-    def test_threshold_override(self):
-        p = choose_nu(100, 1e-3, direct_threshold=10)
-        assert (p.method, p.nu) == ("split", 16)
-        p = choose_nu(100, 1e-3, direct_threshold=10, nu_min=1)
-        assert p.method == "split"
-        assert p.nu < 16
-
     @settings(max_examples=100)
     @given(
         st.integers(min_value=1, max_value=10 ** 9),
@@ -153,12 +147,12 @@ class TestChooseNu:
 class TestEvalPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EvalPlan(100, 1e-9, 99, 10 ** 4, "split")  # nu > n - 2
+            EvalPlan(100, 1e-9, 99, "split")  # nu > n - 2
         with pytest.raises(ValueError):
-            EvalPlan(100, 1e-9, 0, 10 ** 4, "direct")
+            EvalPlan(100, 1e-9, 0, "direct")
         with pytest.raises(ValueError):
-            EvalPlan(100, 1e-9, 50, 10 ** 4, "other")
-        plan = EvalPlan(100, 1e-9, 98, 10 ** 4, "split")
+            EvalPlan(100, 1e-9, 50, "other")
+        plan = EvalPlan(100, 1e-9, 98, "split")
         assert plan.nu == 98
 
 
@@ -168,19 +162,18 @@ class TestCertify:
         st.integers(min_value=1, max_value=2 ** 200),
         st.integers(min_value=0, max_value=2 ** 120),
         st.integers(min_value=1, max_value=2 ** 160),
-        st.floats(min_value=0.0, max_value=1e-3, allow_nan=False),
     )
-    def test_integer_readout_matches_rationals(self, lo, width, den, tail):
-        plan = EvalPlan(10, 1.0, 10, 10 ** 4, "direct")
+    def test_integer_readout_matches_rationals(self, lo, width, den):
+        plan = EvalPlan(10, 1.0, 10, "direct")
         hi = lo + width
-        r = _certify(lo, hi, den, tail, plan)
+        r = _certify(lo, hi, den, plan)
         mid = Fraction(lo + hi, 2 * den)
         # value is the correctly rounded midpoint: no neighbour is closer
         gap = abs(Fraction(r.value) - mid)
         for step in (-math.inf, math.inf):
             assert gap <= abs(Fraction(math.nextafter(r.value, step)) - mid)
         # error_bound is the smallest binary64 >= the exact budget
-        exact = Fraction(tail) + Fraction(hi - lo, 2 * den) + Fraction(math.ulp(r.value))
+        exact = Fraction(hi - lo, 2 * den) + Fraction(math.ulp(r.value))
         assert Fraction(r.error_bound) >= exact
         assert Fraction(math.nextafter(r.error_bound, -math.inf)) < exact
         assert float(r.decimal_value) == r.value
@@ -255,7 +248,7 @@ class TestFastMean:
 
     def test_split_and_direct_agree(self):
         split = fast_mean(10 ** 5, 1e-9)
-        direct = fast_mean(10 ** 5, 1e-9, direct_threshold=10 ** 6)
+        direct = _direct_mean(EvalPlan(10 ** 5, 1e-9, 10 ** 5, "direct"), None)
         assert direct.method == "direct"
         assert abs(split.value - direct.value) <= split.error_bound + direct.error_bound
 
@@ -330,6 +323,8 @@ class TestOracleMeanMany:
             assert mp.mpf(enc.lo) <= truth <= mp.mpf(enc.hi)
             single = oracle_mean(n)
             assert enc.lo <= single.hi and single.lo <= enc.hi
+        with pytest.raises(TypeError):
+            _oracle_mean_many([2.5, 3.9])  # refused, not truncated to 2 and 3
 
     def test_chunk_crossing_marks(self):
         marks = [_CHUNK - 1, _CHUNK, _CHUNK + 1]
