@@ -131,9 +131,8 @@ class Enclosure:
 @dataclass(frozen=True)
 class DeltaBounds:
     """Elementary bracket (lower, upper) pinning the remainder delta strictly
-    from both sides in exact arithmetic.  The binary64 endpoints may collide
-    for nu close to a large n; the enclosures take the bracket from _scaled
-    instead."""
+    from both sides; delta_bounds rounds the exact bracket outward to these
+    binary64 endpoints."""
 
     lower: float
     upper: float
@@ -187,26 +186,31 @@ def sigma(nu: int, n: int) -> float:
 
 def delta_bounds(nu: int, n: int) -> DeltaBounds:
     """The bracket (sigma(nu+2, n+2), sigma(nu, n)) around the remainder
-    delta_{nu,n}; requires nu < n."""
+    delta_{nu,n}, taken from the exact 2**96-scaled brackets and rounded
+    outward once; requires nu < n."""
     nu = _as_index(nu, name="nu")
     n = _check_float_range(_as_index(n))
     if nu >= n:
         raise ValueError(f"need nu < n, got nu={nu}, n={n}")
-    return DeltaBounds(sigma(nu + 2, n + 2), sigma(nu, n))
+    enc = _outward(
+        _scaled.sigma_enc(nu + 2, n + 2)[0], _scaled.sigma_enc(nu, n)[1], _scaled.ONE
+    )
+    return DeltaBounds(enc.lo, enc.hi)
+
+
+def _round_up(num: int, den: int) -> float:
+    """The smallest binary64 >= num/den, for den > 0: the correctly rounded
+    int/int division, stepped one ulp up when it rounded down."""
+    q = num / den
+    qn, qd = q.as_integer_ratio()
+    if qn * den < num * qd:
+        q = math.nextafter(q, math.inf)
+    return q
 
 
 def _outward(lo: int, hi: int, den: int = 1) -> Enclosure:
-    """The binary64 enclosure of the rational interval [lo/den, hi/den]:
-    each end is the correctly rounded int/int division, stepped one ulp
-    outward when it rounded inward."""
-    f_lo, f_hi = lo / den, hi / den
-    num, fden = f_lo.as_integer_ratio()
-    if num * den > lo * fden:
-        f_lo = math.nextafter(f_lo, -math.inf)
-    num, fden = f_hi.as_integer_ratio()
-    if num * den < hi * fden:
-        f_hi = math.nextafter(f_hi, math.inf)
-    return Enclosure(f_lo, f_hi)
+    """The binary64 enclosure of the rational interval [lo/den, hi/den]."""
+    return Enclosure(-_round_up(-lo, den), _round_up(hi, den))
 
 
 def partial_sum_sqrt_enclosure(nu: int, n: int) -> Enclosure:

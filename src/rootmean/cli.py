@@ -89,7 +89,12 @@ def _run_mean(args: argparse.Namespace) -> "tuple[QueryResult, int]":
             result.decimal_value,
             repr(result.error_bound),
             result.method,
-            extra={"nu_used": str(result.plan.nu)},
+            extra={
+                "nu_used": str(result.plan.nu),
+                "budget_remainder": repr(result.budget.remainder),
+                "budget_head": repr(result.budget.head),
+                "budget_readout": repr(result.budget.readout),
+            },
         ),
         0,
     )

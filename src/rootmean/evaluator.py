@@ -1,13 +1,17 @@
 """Fast certified means: a hardened summation oracle, split-point selection,
 and the closed-form approximation
 
-    Sigma~(nu, n) = (1/n) (n A(n) + nu Sigma(nu) - nu A(nu)),
+    Sigma~(nu, n) = (1/n) (n A(n) + nu Sigma(nu) - nu A(nu)).
 
-whose absolute error on the true mean Sigma(n) is bounded by
+Its remainder is pinned from both sides by the paper's bracket: for
+nu <= n - 2,
 
-    (1/24) n^(-3/2) ((nu/n)^(-1/2) - 1)      (valid for nu <= n - 2):
+    n Sigma~ - n Sigma(n) = delta(nu+1, n) / 24,
+    sigma(nu+3, n+2) < delta(nu+1, n) < sigma(nu+1, n),
 
-only the first nu terms are ever summed; the rest is absorbed by the same
+so subtracting the bracket moves the estimate onto Sigma(n) and leaves a
+half-width of at most (nu^(-1/2) - (nu+2)^(-1/2)) / (48 n) <= nu^(-3/2) / (48 n).
+Only the first nu terms are ever summed; the rest is absorbed by the same
 identity that backs partial_sum_sqrt_enclosure.  Direct summation is kept as
 the ground-truth oracle (and as the answer for small n), with a rigorous
 accumulated-rounding bound so it can certify everything else.
@@ -19,6 +23,7 @@ import decimal
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .asymptotic import (
     DeltaBounds,
     Enclosure,
     _check_float_range,
+    _round_up,
     delta_bounds,
     eval_A,
 )
@@ -34,6 +40,7 @@ from .exactfloor import _as_index, alpha_floor, floor_A_exact
 
 __all__ = [
     "EvalPlan",
+    "ErrorBudget",
     "CertifiedMean",
     "DEFAULT_DIRECT_THRESHOLD",
     "DEFAULT_NU_MIN",
@@ -93,7 +100,7 @@ def _fold_chunk(
     is charged ulp(0.0), the smallest subnormal: a floating sum that comes
     out zero is exact, so any nonnegative charge covers it."""
     chunk = math.fsum(roots)
-    err += 0.5 * float(np.sum(np.spacing(roots))) * (1.0 + 2.0 ** -40)
+    err += 0.5 * float(np.spacing(roots).sum()) * (1.0 + 2.0 ** -40)
     err += 0.5 * math.ulp(chunk)
     total, comp = _two_sum(total, chunk, comp)
     err += 0.5 * math.ulp(comp)
@@ -164,6 +171,19 @@ class EvalPlan:
             )
 
 
+class ErrorBudget(NamedTuple):
+    """Where a certificate's error_bound comes from, each part rounded up to
+    binary64: remainder is the half-width of the closed-form legs (the
+    remainder bracket and the scaled A-terms; 0 for direct summation), head
+    the half-width of the summed terms, and readout the ulp(value) charged
+    for rounding the midpoint.  error_bound is the smallest binary64 at or
+    above their exact sum."""
+
+    remainder: float
+    head: float
+    readout: float
+
+
 @dataclass(frozen=True)
 class CertifiedMean:
     """A mean with a guaranteed absolute error bound: |true - value| is at
@@ -171,6 +191,7 @@ class CertifiedMean:
     midpoint; decimal_value is the shortest decimal of that midpoint which
     still parses back to value, so prints carry the midpoint's true leading
     digits (the payload's own shortest repr can disagree in the last place).
+    budget splits error_bound into its sources.
     """
 
     value: float
@@ -178,65 +199,107 @@ class CertifiedMean:
     method: str
     plan: EvalPlan
     decimal_value: str
+    budget: ErrorBudget
+
+
+def _readout_ulps(n: int, epsilon: float) -> tuple[float, float]:
+    """(floor, charge): proven bounds floor <= ulp(value) <= charge for every
+    certificate of Sigma(n) whose half-width is at most epsilon.
+
+    (2/3) sqrt(n+1) < Sigma(n) < (2/3) sqrt(n+2) for every n >= 1: the mean
+    identity gives Sigma(n) = A(n) - 1/(6n) - delta(1, n)/(24n) with
+    0 < delta(1, n) < 3/2, so A(n) - 5/(24n) < Sigma(n) < A(n); the lower
+    end is >= (2/3) sqrt(n+1) once sqrt(n+1) >= 5/4, and the upper end is
+    the envelope A(n) < (2/3) sqrt(n+2) (n >= 2; Sigma(1) = 1).  The float
+    ends take five roundings of at most 2**-53 relative each, which the
+    2**-50 relative widening covers.  The certified midpoint lies within the half-width of Sigma(n),
+    so value, its correct rounding, lies between the float neighbours of
+    Sigma(n) -+ epsilon, and ulp is monotone.
+    """
+    x = float(n)
+    low = (2.0 / 3.0) * math.sqrt(x + 1.0) * (1.0 - 2.0 ** -50) - epsilon
+    high = (2.0 / 3.0) * math.sqrt(x + 2.0) * (1.0 + 2.0 ** -50) + epsilon
+    low = math.nextafter(low, -math.inf)
+    high = math.nextafter(high, math.inf)
+    return (math.ulp(low) if low > 0.0 else 0.0), math.ulp(high)
 
 
 def choose_nu(n: int, epsilon: float) -> EvalPlan:
-    """Split-point selection: nu = max(1, ceil(n (24 eps n^(3/2) + 1)^(-2)))
-    drives the closed-form remainder bound to <= eps.  The point is clamped
-    up to DEFAULT_NU_MIN (a tiny oracle leg is cheap and better conditioned);
-    n below DEFAULT_DIRECT_THRESHOLD, or a formula value violating
-    nu <= n - 2, selects direct summation instead.
+    """Split-point selection whose split provably meets epsilon in one try.
+
+    A split at nu is charged (see _split_mean and _certify):
+
+    - remainder < nu^(-3/2)/(48 n) + 2**-96: the bracket's
+      (nu^(-1/2) - (nu+2)^(-1/2))/(48 n) by the mean value theorem, plus
+      fewer than 2n units of 2**-96 from the integer ends of the A-terms and
+      of the bracket, over the denominator 2 n 2**96;
+    - head <= 2**-50 (nu+1)^(3/2) / n: the oracle's half-width for one chunk
+      is below 4.5 ulp of its sum, which is < (2/3) (nu+1)^(3/2);
+    - readout = ulp(value) <= R, the charge from _readout_ulps.
+
+    With room = (epsilon - R) (1 - 2**-20), nu is the least integer >= 16
+    with nu^(-3/2)/(48 n) <= room/2, that is (24 n room)^2 nu^3 >= 1, and
+    the plan splits only if 2**-50 (nu+1)^(3/2)/n + 2**-96 <= room/2 too.
+    Then remainder + head <= room; rounding each part up adds a relative
+    2**-52 at most, so the parts sum to <= epsilon, and so does error_bound,
+    the smallest binary64 at or above that sum.  Both tests are a dozen
+    correctly rounded operations on positive floats, far inside the 2**-20
+    slack; the power only seeds the search.  Together they admit
+    nu <= 28 600, inside one oracle chunk, where the head bound holds.
+
+    n below DEFAULT_DIRECT_THRESHOLD, no room, nu > n - 2 or a head over its
+    share selects direct summation instead.
     """
     n = _as_index(n)
     epsilon = _check_eps(epsilon)
     _check_float_range(n)
-    if n < DEFAULT_DIRECT_THRESHOLD:
-        return EvalPlan(n, epsilon, n, "direct")
-    t = 24.0 * epsilon * float(n) ** 1.5
-    nu = max(1, math.ceil(float(n) / ((t + 1.0) * (t + 1.0))))
-    nu = max(nu, DEFAULT_NU_MIN)
-    if nu > n - 2:
-        return EvalPlan(n, epsilon, n, "direct")
-    return EvalPlan(n, epsilon, nu, "split")
+    room = (epsilon - _readout_ulps(n, epsilon)[1]) * (1.0 - 2.0 ** -20)
+    if n >= DEFAULT_DIRECT_THRESHOLD and room > 0.0:
+        t = 24.0 * n * room
+        nu = max(DEFAULT_NU_MIN, math.ceil(t ** (-2.0 / 3.0)))
+        while nu <= n - 2 and t * t * nu ** 3 < 1.0:
+            nu += 1
+        head = 2.0 ** -50 * (nu + 1) * math.sqrt(nu + 1) / n
+        if nu <= n - 2 and head + 2.0 ** -96 <= room / 2:
+            return EvalPlan(n, epsilon, nu, "split")
+    return EvalPlan(n, epsilon, n, "direct")
 
 
 def _shortest_roundtrip(num: int, den: int, payload: float) -> str:
     """Shortest decimal rendering of the certified midpoint num/den that
     still parses back to the binary64 payload."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        d = decimal.Decimal(num) / decimal.Decimal(den)
+    d = decimal.Context(prec=40).divide(num, den)
     # repr(payload) is the shortest string that parses back to payload, so
     # no rendering with fewer significant digits can: start the search there
     shortest = len(repr(payload).split("e")[0].replace(".", "").strip("0"))
     for digits in range(shortest, 18):
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits
-            cand = str(+d)  # unary plus rounds to the context precision
+        cand = str(decimal.Context(prec=digits).plus(d))  # rounds to digits
         if float(cand) == payload:
             return cand
     return repr(payload)
 
 
-def _certify(lo: int, hi: int, den: int, plan: EvalPlan) -> CertifiedMean:
-    """The certificate for a mean bracketed by lo/den <= Sigma(n) <= hi/den.
+def _certify(lo: int, hi: int, den: int, plan: EvalPlan, head: int) -> CertifiedMean:
+    """The certificate for a mean bracketed by lo/den <= Sigma(n) <= hi/den,
+    of whose width head integer units come from summed terms.
 
     value is the correctly rounded midpoint (int/int true division rounds
-    once).  error_bound is the smallest binary64 >= the half-width
-    (hi - lo)/(2 den) + one ulp(value) for the readout, decided exactly in
-    integers: ulp(value) is dyadic, so both terms share the denominator
-    2 den times its power of two.
+    once).  The budget rounds the half-widths of the head and of the rest
+    up to binary64 and charges one ulp(value) for the readout; error_bound
+    is the smallest binary64 >= their exact sum.  fsum rounds that sum, and
+    the residual's rounding keeps its exact sign (it is a nonzero multiple
+    of a part's ulp, or zero).
     """
-    value = (lo + hi) / (2 * den)
-    un, ud = math.ulp(value).as_integer_ratio()
-    num = (hi - lo) * ud + 2 * den * un
-    bden = 2 * den * ud
-    bound = num / bden
-    fn, fd = bound.as_integer_ratio()
-    if fn * bden < num * fd:  # correctly rounded, so one step up suffices
+    den2 = 2 * den
+    value = (lo + hi) / den2
+    parts = (_round_up(hi - lo - head, den2), _round_up(head, den2), math.ulp(value))
+    bound = math.fsum(parts)
+    if math.fsum((*parts, -bound)) > 0.0:
         bound = math.nextafter(bound, math.inf)
-    decimal_value = _shortest_roundtrip(lo + hi, 2 * den, value)
-    return CertifiedMean(value, bound, plan.method, plan, decimal_value)
+    decimal_value = _shortest_roundtrip(lo + hi, den2, value)
+    return CertifiedMean(
+        value, bound, plan.method, plan, decimal_value, ErrorBudget(*parts)
+    )
 
 
 def _split_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
@@ -253,12 +316,16 @@ def _split_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
     # over the denominator n 2**96; binary64 would cancel ~n^(3/2)-sized
     # operands down to the 1e-7 scale and lose the certification, so the one
     # rounding happens at the readout.  n Sigma~ - n Sigma(n) = delta(nu+1, n)
-    # / 24 lies in (0, sigma(nu+1, n)/24): widening both ends by that tail
-    # brackets n Sigma(n) and leaves the midpoint where it was
-    tail = -(-_scaled.sigma_enc(nu + 1, n)[1] // 24)
-    lo = a_n_lo + head_lo - a_nu_hi - tail
-    hi = a_n_hi + head_hi - a_nu_lo + tail
-    return _certify(lo, hi, n * _scaled.ONE, plan)
+    # / 24 lies above sigma(nu+3, n+2)/24 > ((nu+2)^(-1/2) - n^(-1/2))/24 and
+    # below sigma(nu+1, n)/24 = (nu^(-1/2) - n^(-1/2))/24; subtracting both
+    # sides brackets n Sigma(n), and one bracket of n^(-1/2) cancels from
+    # the width
+    t_lo, t_hi = _scaled.rsqrt_enc(n)
+    up = -((t_lo - _scaled.rsqrt_enc(nu)[1]) // 24)
+    down = (_scaled.rsqrt_enc(nu + 2)[0] - t_hi) // 24
+    lo = a_n_lo + head_lo - a_nu_hi - up
+    hi = a_n_hi + head_hi - a_nu_lo - down
+    return _certify(lo, hi, n * _scaled.ONE, plan, head_hi - head_lo)
 
 
 def _direct_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
@@ -267,7 +334,7 @@ def _direct_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
     hi_num, hi_den = enc.hi.as_integer_ratio()
     den = max(lo_den, hi_den)  # powers of two: the larger is a common multiple
     lo, hi = lo_num * (den // lo_den), hi_num * (den // hi_den)
-    return _certify(lo, hi, den, plan)
+    return _certify(lo, hi, den, plan, hi - lo)
 
 
 def fast_mean(
@@ -279,54 +346,38 @@ def fast_mean(
 ) -> CertifiedMean:
     """Certified mean of the first n square roots with error_bound <= epsilon.
 
-    The split path sums only 1..nu and closes the rest with Sigma~; its
-    A-terms are bracketed in exact scaled integers and combined with the
-    oracle sum as exact integers, so the only binary64 rounding is the final
-    readout.  The remainder bound can sit within rounding slack of epsilon,
-    in which case the split point is raised and ultimately the direct oracle
-    answers.  A forced nu that cannot certify epsilon raises instead of
-    returning a looser bound, and so does an epsilon below the readout floor.
+    One evaluation, no retry.  choose_nu plans a split at nu whose budget
+    provably meets epsilon, or direct summation: the split sums only 1..nu
+    and closes the rest with Sigma~ and its two-sided remainder bracket, in
+    exact scaled integers, so the only binary64 rounding is the final
+    readout.  A direct plan, or a forced nu, that misses epsilon raises with
+    the achieved bound, and an epsilon below the readout floor, a proven
+    lower bound on ulp(value), raises before anything is summed.
     """
     n = _as_index(n)
     epsilon = _check_eps(epsilon)
     _check_float_range(n)
-    # every certificate charges ulp(value) for the readout; one that met
-    # epsilon < 1/2 would put value within 1/2 of Sigma(n), so value >=
-    # floor(Sigma(n))/2 and ulp(value) >= ulp(floor)/2 > epsilon.  No plan
-    # can certify below that floor: refuse before summing anything
-    readout_floor = math.ulp(floor_A_exact(n)) / 2
+    # every certificate charges ulp(value) for the readout: no plan can
+    # certify below that floor, so refuse before summing anything
+    readout_floor = _readout_ulps(n, epsilon)[0]
     if epsilon < readout_floor:
         raise ValueError(
             f"cannot certify epsilon={epsilon!r} for n={n}: it is below the "
-            f"readout floor {readout_floor!r}, half an ulp of floor(Sigma(n))"
+            f"readout floor {readout_floor!r}, a lower bound on ulp(value)"
         )
-    if nu is not None:
+    if nu is None:
+        plan = choose_nu(n, epsilon)
+    else:
         nu = _as_index(nu, name="nu")
         if nu > n - 2:
             raise ValueError(f"forced nu must satisfy nu <= n - 2, got nu={nu}, n={n}")
         plan = EvalPlan(n, epsilon, nu, "split")
-        result = _split_mean(plan, cap)
-        if result.error_bound > epsilon:
-            raise ValueError(
-                f"forced nu={nu} cannot certify epsilon={epsilon!r}: "
-                f"achieved bound {result.error_bound!r}"
-            )
-        return result
-
-    plan = choose_nu(n, epsilon)
-    while plan.method == "split":
-        result = _split_mean(plan, cap)
-        if result.error_bound <= epsilon:
-            return result
-        bigger = min(4 * plan.nu, n - 2)
-        if bigger <= plan.nu:
-            break
-        plan = EvalPlan(n, epsilon, bigger, "split")
-    result = _direct_mean(EvalPlan(n, epsilon, n, "direct"), cap)
+    evaluate = _split_mean if plan.method == "split" else _direct_mean
+    result = evaluate(plan, cap)
     if result.error_bound > epsilon:
         raise ValueError(
-            f"cannot certify epsilon={epsilon!r} for n={n}: "
-            f"best achievable bound {result.error_bound!r}"
+            f"cannot certify epsilon={epsilon!r} for n={n} with a {plan.method} "
+            f"plan at nu={plan.nu}: achieved bound {result.error_bound!r}"
         )
     return result
 

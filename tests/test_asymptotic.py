@@ -3,12 +3,14 @@ domain validation, and the structural dataclasses."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rootmean import _scaled
 from rootmean.asymptotic import (
     DeltaBounds,
     Enclosure,
@@ -127,9 +129,17 @@ class TestSigma:
 class TestDeltaBounds:
     def test_bracket_orientation(self):
         db = delta_bounds(1, 100)
-        assert db.lower == sigma(3, 102)
-        assert db.upper == sigma(1, 100)
+        # the exact bracket rounded outward, within an ulp of binary64 sigma
+        assert Fraction(db.lower) <= Fraction(_scaled.sigma_enc(3, 102)[0], _scaled.ONE)
+        assert Fraction(db.upper) >= Fraction(_scaled.sigma_enc(1, 100)[1], _scaled.ONE)
+        assert abs(db.lower - sigma(3, 102)) <= math.ulp(db.lower)
+        assert abs(db.upper - sigma(1, 100)) <= math.ulp(db.upper)
         assert 0.0 <= db.lower < db.upper
+
+    def test_exact_bracket_near_large_n(self):
+        # binary64 sigma inverted these endpoints and the call raised
+        db = delta_bounds(1402108738158901, 1472838348251068)
+        assert 0.0 < db.lower <= db.upper
 
     @settings(max_examples=120)
     @given(st.integers(min_value=1, max_value=10 ** 6))

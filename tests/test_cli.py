@@ -1,6 +1,7 @@
 """Command-line behavior: record shape, exit codes, determinism, formats."""
 
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from rootmean import cli
-from rootmean.evaluator import fast_mean
+from rootmean.evaluator import fast_mean, oracle_mean
 from rootmean.exactfloor import floor_A_exact
 
 
@@ -74,11 +75,23 @@ class TestMean:
         code, out, err = run_cli(capsys, "mean", "10000000", "--nu", "100")
         assert code == 0 and err == ""
         rec = parse_text_record(out)
-        assert rec["value"] == "2108.1852648724285"
+        assert rec["value"] == "2108.185264872015"
         bound = float(rec["error_bound"])
-        assert 4.15e-10 <= bound <= 4.16e-10
+        assert bound <= 3e-12
         assert rec["method"] == "split"
         assert rec["nu_used"] == "100"
+        mid = oracle_mean(10 ** 7).midpoint()
+        assert abs(float(rec["value"]) - mid) <= bound
+
+    def test_json_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "mean", "1000000", "--eps", "1e-12", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        parts = [float(rec[f"budget_{k}"]) for k in ("remainder", "head", "readout")]
+        assert all(p > 0.0 for p in parts)
+        assert sum(parts) <= float(rec["error_bound"]) <= 1e-12
+        assert parts[2] == math.ulp(float(rec["value"]))
+        assert rec["method"] == "split"
 
     def test_value_round_trips_payload(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "1000", "--format", "json")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootmean import _scaled
 from rootmean.evaluator import (
     _CHUNK,
     EvalPlan,
@@ -17,6 +18,8 @@ from rootmean.evaluator import (
     _direct_mean,
     _oracle_mean_many,
     _expected_floor_table,
+    _readout_ulps,
+    _split_mean,
     choose_nu,
     fast_mean,
     mean_decomposition_check,
@@ -104,14 +107,47 @@ class TestOracleMean:
 
 class TestChooseNu:
     def test_frozen_plans(self):
-        p = choose_nu(10 ** 7, 4.2e-10)
-        assert (p.method, p.nu) == ("split", 98)
-        p = choose_nu(10 ** 7, 1.0)
-        assert (p.method, p.nu) == ("split", 16)  # clamped to the floor value
+        splits = [
+            (10 ** 7, 4.2e-10, 16),  # clamped to the floor value
+            (10 ** 7, 1.0, 16),  # clamped to the floor value
+            (10 ** 6, 1e-12, 1303),
+            (10 ** 7, 1e-12, 388),
+        ]
+        for n, epsilon, nu in splits:
+            p = choose_nu(n, epsilon)
+            assert (p.method, p.nu) == ("split", nu)
+            r = fast_mean(n, epsilon)
+            assert r.plan == p
+            assert r.error_bound <= epsilon
         p = choose_nu(10, 1e-15)
         assert p.method == "direct"
-        p = choose_nu(10 ** 6, 1e-12)
-        assert (p.method, p.nu) == ("split", 953675)
+        # direct summation of ten terms reaches 2.0e-15, not 1e-15
+        with pytest.raises(ValueError, match="cannot certify.*achieved bound"):
+            fast_mean(10, 1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=10 ** 4, max_value=2 ** 53),
+        st.sampled_from(["log", "ulps_of_value", "ulps_of_epsilon"]),
+        st.floats(min_value=-15.0, max_value=0.0),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_split_plan_meets_epsilon_first_try(self, n, kind, log_eps, k):
+        # the plan's budget is proven: a split it selects never misses, so
+        # fast_mean needs no second attempt.  Near the readout floor F the
+        # room left for the remainder is k ulp(value) or k ulp(epsilon)
+        floor = _readout_ulps(n, 1e-300)[0]
+        if kind == "log":
+            epsilon = 10.0 ** log_eps
+        elif kind == "ulps_of_value":
+            epsilon = floor * (1 + k)
+        else:
+            epsilon = floor + k * math.ulp(floor)
+        plan = choose_nu(n, epsilon)
+        if plan.method == "split":
+            r = _split_mean(plan, None)
+            assert r.error_bound <= epsilon
+            assert r.budget.readout <= _readout_ulps(n, epsilon)[1]
 
     def test_direct_below_threshold(self):
         assert choose_nu(9999, 1e-9).method == "direct"
@@ -161,21 +197,30 @@ class TestCertify:
     @given(
         st.integers(min_value=1, max_value=2 ** 200),
         st.integers(min_value=0, max_value=2 ** 120),
+        st.integers(min_value=0, max_value=2 ** 120),
         st.integers(min_value=1, max_value=2 ** 160),
     )
-    def test_integer_readout_matches_rationals(self, lo, width, den):
+    def test_integer_readout_matches_rationals(self, lo, rest, head, den):
         plan = EvalPlan(10, 1.0, 10, "direct")
-        hi = lo + width
-        r = _certify(lo, hi, den, plan)
+        hi = lo + rest + head
+        r = _certify(lo, hi, den, plan, head)
         mid = Fraction(lo + hi, 2 * den)
         # value is the correctly rounded midpoint: no neighbour is closer
         gap = abs(Fraction(r.value) - mid)
         for step in (-math.inf, math.inf):
             assert gap <= abs(Fraction(math.nextafter(r.value, step)) - mid)
-        # error_bound is the smallest binary64 >= the exact budget
-        exact = Fraction(hi - lo, 2 * den) + Fraction(math.ulp(r.value))
-        assert Fraction(r.error_bound) >= exact
-        assert Fraction(math.nextafter(r.error_bound, -math.inf)) < exact
+        # each budget part is the smallest binary64 >= its exact share
+        b = r.budget
+        assert b.readout == math.ulp(r.value)
+        for part, exact in ((b.remainder, Fraction(rest, 2 * den)), (b.head, Fraction(head, 2 * den))):
+            assert Fraction(part) >= exact
+            assert part == 0.0 or Fraction(math.nextafter(part, -math.inf)) < exact
+        # error_bound is the smallest binary64 >= the parts' exact sum, so it
+        # covers the exact half-width plus the readout ulp
+        parts = Fraction(b.remainder) + Fraction(b.head) + Fraction(b.readout)
+        assert Fraction(r.error_bound) >= parts
+        assert Fraction(math.nextafter(r.error_bound, -math.inf)) < parts
+        assert Fraction(r.error_bound) >= Fraction(hi - lo, 2 * den) + Fraction(b.readout)
         assert float(r.decimal_value) == r.value
         assert (r.method, r.plan) == ("direct", plan)
 
@@ -183,10 +228,28 @@ class TestCertify:
 class TestFastMean:
     def test_reference_split_certificate(self):
         r = fast_mean(10 ** 7, 1e-9, nu=100)
-        assert r.decimal_value == "2108.1852648724285"
+        assert r.decimal_value == "2108.185264872015"
         assert float(r.decimal_value) == r.value
-        assert 4.15e-10 <= r.error_bound <= 4.16e-10
+        assert r.error_bound <= 3e-12
         assert r.method == "split" and r.plan.nu == 100
+        mid = oracle_mean(10 ** 7).midpoint()
+        assert r.value - r.error_bound <= mid <= r.value + r.error_bound
+
+    def test_sigma_tilde_reference(self):
+        # Sigma~ itself, from the scaled A-terms and the head sum at nu=100,
+        # sits 4.1e-10 above the mean; the remainder bracket moves the
+        # certificate's value off it and onto Sigma(n)
+        n, nu = 10 ** 7, 100
+        head = oracle_sum_sqrt(1, nu)
+        scale = lambda x: int(math.ldexp(x, _scaled.BITS))
+        lo = _scaled.nA_enc(n)[0] + scale(head.lo) - _scaled.nA_enc(nu)[1]
+        hi = _scaled.nA_enc(n)[1] + scale(head.hi) - _scaled.nA_enc(nu)[0]
+        tilde = (lo + hi) / (2 * n * _scaled.ONE)
+        assert tilde == 2108.1852648724285
+        mid = oracle_mean(n).midpoint()
+        assert 4.05e-10 <= tilde - mid <= 4.22e-10
+        r = fast_mean(n, 1e-9, nu=nu)
+        assert tilde - r.value > r.error_bound
 
     def test_direct_small(self):
         r = fast_mean(5, 1e-12)
@@ -202,21 +265,41 @@ class TestFastMean:
         with pytest.raises(ValueError, match="cannot certify"):
             fast_mean(10 ** 6, 1e-14, nu=16)
 
-    @pytest.mark.parametrize("n,epsilon", [(10 ** 15, 1e-9), (10 ** 9, 1e-12)])
+    @pytest.mark.parametrize(
+        "n,epsilon",
+        [(10 ** 15, 1e-9), (10 ** 9, 1e-12), (10 ** 12, 8e-11), (10 ** 7, 2.5e-13)],
+    )
     def test_below_readout_floor_fails_fast(self, n, epsilon):
-        # epsilon under half an ulp of floor(Sigma(n)) can never be met; the
-        # refusal must come before any head sum or escalation (seconds of
-        # summation before the check existed)
+        # epsilon under ulp(value) can never be met, since every certificate
+        # is charged that ulp; the refusal must come before any summation
+        # (seconds of summation before the check existed).  The last two lie
+        # between half an ulp and one ulp of Sigma(n)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="cannot certify.*readout floor"):
             fast_mean(n, epsilon)
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < 0.01
 
-    def test_escalation_reaches_tolerance(self):
-        # the formula split point undershoots here; escalation must still land
-        r = fast_mean(10 ** 6, 1e-12)
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
+    def test_one_split_reaches_tight_tolerance(self, n):
+        # 1e-12 is about 9 and 2 ulp of Sigma(n) here; the two-sided
+        # remainder bracket lets one planned split land it with a short
+        # head, where the one-sided tail needed nu near n (10**6) or could
+        # not certify at all (10**7)
+        start = time.perf_counter()
+        r = fast_mean(n, 1e-12)
         assert r.error_bound <= 1e-12
         assert r.method in ("split", "direct")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [5, 100, 3000])
+    def test_forced_nu_extremes_contain_truth(self, n):
+        # both sides of the remainder bracket at the shortest and the
+        # longest heads
+        truth = mp_sqrt_sum(1, n) / n
+        for nu in sorted({1, 2, n - 3, n - 2}):
+            r = fast_mean(n, 1e-2, nu=nu)
+            assert r.method == "split" and r.plan.nu == nu
+            assert abs(mp.mpf(r.value) - truth) <= mp.mpf(r.error_bound), nu
 
     @settings(max_examples=25, deadline=None)
     @given(
