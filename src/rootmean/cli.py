@@ -17,8 +17,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _scaled
 from .asymptotic import (
     eval_A,
@@ -166,6 +164,8 @@ def _verify_lemma2(max_n: int, cap: "int | None"):
     + 1/(4x) on [6, max_n], on a log-spaced grid."""
     if max_n < 2:
         raise ValueError("lemma2 mode needs --max-n >= 2")
+    import numpy as np
+
     xs = np.unique(
         np.concatenate(
             [np.geomspace(2.0, float(max_n), 2000), [2.0, 6.0, float(max_n)]]

@@ -23,9 +23,7 @@ import decimal
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _scaled
 from .asymptotic import (
@@ -37,6 +35,9 @@ from .asymptotic import (
     eval_A,
 )
 from .exactfloor import _as_index, alpha_floor, floor_A_exact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EvalPlan",
@@ -92,15 +93,16 @@ def _two_sum(total: float, x: float, comp: float) -> tuple[float, float]:
 
 
 def _fold_chunk(
-    roots: np.ndarray, total: float, comp: float, err: float
+    roots: np.ndarray, spacing: float, total: float, comp: float, err: float
 ) -> tuple[float, float, float]:
-    """Add one chunk of correctly rounded roots to the compensated carry
-    (total, comp) and charge its roundings to err: 0.5 spacing per term,
-    0.5 ulp for the fsum readout, 0.5 ulp for the carry update.  A zero comp
-    is charged ulp(0.0), the smallest subnormal: a floating sum that comes
-    out zero is exact, so any nonnegative charge covers it."""
+    """Add one chunk of correctly rounded roots, whose spacings sum to
+    spacing, to the compensated carry (total, comp) and charge its roundings
+    to err: 0.5 spacing per term, 0.5 ulp for the fsum readout, 0.5 ulp for
+    the carry update.  A zero comp is charged ulp(0.0), the smallest
+    subnormal: a floating sum that comes out zero is exact, so any
+    nonnegative charge covers it."""
     chunk = math.fsum(roots)
-    err += 0.5 * float(np.spacing(roots).sum()) * (1.0 + 2.0 ** -40)
+    err += 0.5 * spacing * (1.0 + 2.0 ** -40)
     err += 0.5 * math.ulp(chunk)
     total, comp = _two_sum(total, chunk, comp)
     err += 0.5 * math.ulp(comp)
@@ -125,13 +127,15 @@ def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
     count = n - nu + 1
     if count > cap:
         raise ValueError(f"range of {count} terms exceeds the oracle cap {cap}")
+    import numpy as np  # the one numpy import on a mean query
 
     total, comp = 0.0, 0.0
     err = 0.0
     for a in range(nu, n + 1, _CHUNK):
         b = min(a + _CHUNK - 1, n)
         roots = np.sqrt(np.arange(a, b + 1, dtype=np.float64))
-        total, comp, err = _fold_chunk(roots, total, comp, err)
+        spacing = float(np.spacing(roots).sum())
+        total, comp, err = _fold_chunk(roots, spacing, total, comp, err)
     s = total + comp
     err += 0.5 * math.ulp(abs(s))
     err *= 1.0 + 2.0 ** -30  # swallows the rounding of the err accumulation itself
@@ -202,26 +206,53 @@ class CertifiedMean:
     budget: ErrorBudget
 
 
+def _sigma_range(n: int) -> tuple[float, float]:
+    """Binary64 bounds low < Sigma(n) < high, each below 2**-50 relative of
+    Sigma(n) away from it.
+
+    (2/3) sqrt(n+1) < Sigma(n) < (2/3) sqrt(n+2) for every n >= 1: the mean
+    identity gives Sigma(n) = A(n) - 1/(6n) - delta(1, n)/(24n) with
+    0 < delta(1, n) < 3/2, so A(n) - 11/(48n) < Sigma(n) < A(n); the lower
+    end is >= (2/3) sqrt(n+1) once sqrt(n+1) >= 11/8, and the upper end is
+    the envelope A(n) < (2/3) sqrt(n+2) (n >= 2; Sigma(1) = 1).  The float
+    ends take five roundings of at most 2**-53 relative each, which the
+    2**-50 relative widening covers.
+    """
+    x = float(n)
+    return (
+        (2.0 / 3.0) * math.sqrt(x + 1.0) * (1.0 - 2.0 ** -50),
+        (2.0 / 3.0) * math.sqrt(x + 2.0) * (1.0 + 2.0 ** -50),
+    )
+
+
 def _readout_ulps(n: int, epsilon: float) -> tuple[float, float]:
     """(floor, charge): proven bounds floor <= ulp(value) <= charge for every
     certificate of Sigma(n) whose half-width is at most epsilon.
 
-    (2/3) sqrt(n+1) < Sigma(n) < (2/3) sqrt(n+2) for every n >= 1: the mean
-    identity gives Sigma(n) = A(n) - 1/(6n) - delta(1, n)/(24n) with
-    0 < delta(1, n) < 3/2, so A(n) - 5/(24n) < Sigma(n) < A(n); the lower
-    end is >= (2/3) sqrt(n+1) once sqrt(n+1) >= 5/4, and the upper end is
-    the envelope A(n) < (2/3) sqrt(n+2) (n >= 2; Sigma(1) = 1).  The float
-    ends take five roundings of at most 2**-53 relative each, which the
-    2**-50 relative widening covers.  The certified midpoint lies within the half-width of Sigma(n),
-    so value, its correct rounding, lies between the float neighbours of
-    Sigma(n) -+ epsilon, and ulp is monotone.
+    The certified midpoint lies within the half-width of Sigma(n), so value,
+    its correct rounding, lies between the float neighbours of
+    Sigma(n) -+ epsilon (bounded by _sigma_range), and ulp is monotone.
     """
-    x = float(n)
-    low = (2.0 / 3.0) * math.sqrt(x + 1.0) * (1.0 - 2.0 ** -50) - epsilon
-    high = (2.0 / 3.0) * math.sqrt(x + 2.0) * (1.0 + 2.0 ** -50) + epsilon
-    low = math.nextafter(low, -math.inf)
-    high = math.nextafter(high, math.inf)
+    low, high = _sigma_range(n)
+    low = math.nextafter(low - epsilon, -math.inf)
+    high = math.nextafter(high + epsilon, math.inf)
     return (math.ulp(low) if low > 0.0 else 0.0), math.ulp(high)
+
+
+def _direct_floor(n: int, readout_floor: float) -> float:
+    """A proven lower bound on the error_bound of every direct certificate
+    of Sigma(n) that meets an epsilon whose readout floor is readout_floor:
+    nearly readout_floor + 2**-54 Sigma(n).
+
+    The certificate charges ulp(value) >= readout_floor plus the half-width
+    of the oracle's mean, which is at least err/n for the oracle sum's
+    error charge err.  err includes half an ulp of the oracle's sum s, and
+    ulp(s) > 2**-53 s with s >= n Sigma(n) - err, so err > 2**-54 n Sigma(n)
+    / (1 + 2**-54).  _sigma_range's lower end sits more than 3 * 2**-53
+    relative below Sigma(n), which absorbs that divisor; nextafter makes
+    the float sum a lower bound of the exact one.
+    """
+    return math.nextafter(readout_floor + 2.0 ** -54 * _sigma_range(n)[0], 0.0)
 
 
 def choose_nu(n: int, epsilon: float) -> EvalPlan:
@@ -351,8 +382,13 @@ def fast_mean(
     and closes the rest with Sigma~ and its two-sided remainder bracket, in
     exact scaled integers, so the only binary64 rounding is the final
     readout.  A direct plan, or a forced nu, that misses epsilon raises with
-    the achieved bound, and an epsilon below the readout floor, a proven
-    lower bound on ulp(value), raises before anything is summed.
+    the achieved bound.
+
+    Two requests raise before anything is summed, because no certificate
+    can meet them: epsilon below the readout floor F, a proven lower bound
+    on ulp(value), and a direct plan with epsilon below F + 2**-54 Sigma(n)
+    (_direct_floor), which is too close to the readout floor for direct
+    summation.
     """
     n = _as_index(n)
     epsilon = _check_eps(epsilon)
@@ -372,6 +408,14 @@ def fast_mean(
         if nu > n - 2:
             raise ValueError(f"forced nu must satisfy nu <= n - 2, got nu={nu}, n={n}")
         plan = EvalPlan(n, epsilon, nu, "split")
+    if plan.method == "direct":
+        direct_floor = _direct_floor(n, readout_floor)
+        if epsilon < direct_floor:
+            raise ValueError(
+                f"cannot certify epsilon={epsilon!r} for n={n}: it is too close "
+                f"to the readout floor {readout_floor!r} for the direct plan, "
+                f"whose sum is charged more than {direct_floor!r}"
+            )
     evaluate = _split_mean if plan.method == "split" else _direct_mean
     result = evaluate(plan, cap)
     if result.error_bound > epsilon:
@@ -408,6 +452,8 @@ def _expected_floor_table(max_n: int) -> np.ndarray:
     alpha thresholds: the floor is non-decreasing (A is strictly increasing)
     and steps exactly at the thresholds, so checking the exact floor at both
     ends of every block pins the whole block."""
+    import numpy as np
+
     expected = np.zeros(max_n + 1, dtype=np.int32)
     m, start = 1, 1
     while start <= max_n:
@@ -425,6 +471,8 @@ def _prefix_mean_chunks(max_n: int):
     approximates Sigma(a+i) and mean_bound[i] is a rigorous bound on its
     total rounding error (correctly rounded terms, sequential in-chunk
     cumsum, compensated carry across chunks, and the final division)."""
+    import numpy as np
+
     carry_s, carry_c = 0.0, 0.0
     base_err = 0.0
     for a in range(1, max_n + 1, _CHUNK):
@@ -441,7 +489,10 @@ def _prefix_mean_chunks(max_n: int):
         means = prefix / ks
         mean_bound = bound / ks * (1.0 + 2.0 ** -40) + np.spacing(np.abs(means))
         yield a, b, means, mean_bound
-        carry_s, carry_c, base_err = _fold_chunk(roots, carry_s, carry_c, base_err)
+        spacing = float(np.spacing(roots).sum())
+        carry_s, carry_c, base_err = _fold_chunk(
+            roots, spacing, carry_s, carry_c, base_err
+        )
 
 
 def _oracle_mean_many(
@@ -487,6 +538,7 @@ def sweep_theorem1(
     if max_n > cap:
         raise ValueError(f"range of {max_n} terms exceeds the oracle cap {cap}")
     _check_float_range(max_n, "max_n")
+    import numpy as np
 
     expected = _expected_floor_table(max_n)
     mismatches: list[tuple[int, int, int]] = []

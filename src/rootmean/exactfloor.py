@@ -7,8 +7,9 @@ the closed form
 
 so floor(Sigma(n)) is computable without summing anything.  This module does
 that computation two independent ways, both in pure integer arithmetic:
-directly, by squaring the comparison m <= A(n), and through the threshold
-sequence alpha(m) = (9/4)(m+1)^2 - 2 at which the floor steps from m to m+1.
+directly, as the integer square root of floor(A(n)^2) = (4n+6) // 9, and
+through the threshold sequence alpha(m) = (9/4)(m+1)^2 - 2 at which the
+floor steps from m to m+1.
 Floating point is banned here: near a threshold the gap between A(n) and the
 next integer shrinks like O(n^(-1/2)) and drops below binary64 resolution
 for n beyond ~1e15.
@@ -62,17 +63,24 @@ def isqrt(k: int) -> int:
 
 def floor_A_exact(n: Index) -> int:
     """floor(A(n)), equivalently the integer part of the mean of the first
-    n square roots, by squaring.
+    n square roots, as isqrt((4n + 6) // 9): one division by a small
+    constant and one integer square root.
 
-    For positive integers m:  m <= A(n)  iff  (6nm)^2 <= (4n+1)^2 (n+1),
-    so the floor is isqrt of the rational radicand (4n+1)^2 (n+1) / (36 n^2).
-    Flooring the radicand first cannot change the answer: whether m^2 is
-    below a rational and whether it is below its floor agree for integer m^2.
+    For positive integers m:  m <= A(n)  iff  m^2 <= A(n)^2, and flooring
+    the radicand first cannot change the answer: whether m^2 is below a
+    rational and whether it is below its floor agree for integer m^2.  So
+    the floor is isqrt(floor(A(n)^2)), and the radicand reduces to
+
+        A(n)^2 = (4n+1)^2 (n+1) / (36 n^2) = (16n + 24)/36 + (9n + 1)/(36 n^2).
+
+    16n + 24 is a multiple of 4, so its remainder r mod 36 is at most 32,
+    and the second fraction carries the sum past the next integer only if
+    (9n + 1)/n^2 >= 36 - r >= 4, so only if 9n + 1 >= 4n^2, which holds for
+    no n >= 3; n = 1 and n = 2 give (4n + 6) // 9 = 1 = floor(A(n)^2)
+    directly.  Hence floor(A(n)^2) = (16n + 24) // 36 = (4n + 6) // 9.
     """
     n = _as_index(n)
-    num = (4 * n + 1) ** 2 * (n + 1)
-    den = 36 * n * n
-    return math.isqrt(num // den)
+    return math.isqrt((4 * n + 6) // 9)
 
 
 def floor_via_alpha(n: Index) -> int:
@@ -80,8 +88,9 @@ def floor_via_alpha(n: Index) -> int:
     alpha(m) = (9/4)(m+1)^2 - 2 admits n, decided in integers as
     4n <= 9(m+1)^2 - 8.
 
-    This never squares A, so it is an independent route that must agree
-    with floor_A_exact everywhere (the test suite enforces that).
+    This never forms the radicand A(n)^2, so it is an independent route
+    that must agree with floor_A_exact everywhere (the test suite enforces
+    that).
     """
     n = _as_index(n)
     target = 4 * n + 8

@@ -15,6 +15,7 @@ from rootmean.evaluator import (
     _CHUNK,
     EvalPlan,
     _certify,
+    _direct_floor,
     _direct_mean,
     _oracle_mean_many,
     _expected_floor_table,
@@ -267,17 +268,37 @@ class TestFastMean:
 
     @pytest.mark.parametrize(
         "n,epsilon",
-        [(10 ** 15, 1e-9), (10 ** 9, 1e-12), (10 ** 12, 8e-11), (10 ** 7, 2.5e-13)],
+        [
+            (10 ** 15, 1e-9),
+            (10 ** 9, 1e-12),
+            (10 ** 12, 8e-11),
+            (10 ** 7, 2.5e-13),
+            (10 ** 6, 1.1368683772161605e-13),
+            (10 ** 12, 1.1641532182693484e-10),
+        ],
     )
     def test_below_readout_floor_fails_fast(self, n, epsilon):
         # epsilon under ulp(value) can never be met, since every certificate
         # is charged that ulp; the refusal must come before any summation
-        # (seconds of summation before the check existed).  The last two lie
-        # between half an ulp and one ulp of Sigma(n)
+        # (seconds of summation before the check existed).  (10**12, 8e-11)
+        # and (10**7, 2.5e-13) lie between half an ulp and one ulp of
+        # Sigma(n).  The last two sit one ulp above the readout charge, where
+        # no split fits and direct summation, charged that ulp plus the
+        # oracle's half-width, cannot meet them either: they used to sum
+        # 10**6 terms, or reach the oracle cap, before failing
         start = time.perf_counter()
         with pytest.raises(ValueError, match="cannot certify.*readout floor"):
             fast_mean(n, epsilon)
         assert time.perf_counter() - start < 0.01
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=200_000))
+    def test_direct_floor_is_below_every_direct_certificate(self, n):
+        # the fail-fast refusal of direct plans must never refuse a request
+        # that direct summation could meet
+        r = _direct_mean(EvalPlan(n, 1.0, n, "direct"), None)
+        floor = _readout_ulps(n, r.error_bound)[0]
+        assert r.error_bound > _direct_floor(n, floor)
 
     @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
     def test_one_split_reaches_tight_tolerance(self, n):

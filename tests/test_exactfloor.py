@@ -1,6 +1,7 @@
 """Exact integer parts: brute-force cross-checks and structural properties."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,13 @@ def brute_floor_mean(n: int) -> int:
         if f_lo == f_hi:
             return f_lo
         shift *= 2
+
+
+def squared_radicand_floor(n: int) -> int:
+    """Independent reference: m <= A(n) iff (6nm)^2 <= (4n+1)^2 (n+1), so
+    the floor is isqrt of the floored radicand (4n+1)^2 (n+1) // (36 n^2),
+    computed from the unreduced cubic-size numerator."""
+    return math.isqrt((4 * n + 1) ** 2 * (n + 1) // (36 * n * n))
 
 
 def test_index_alias_is_int():
@@ -88,6 +96,34 @@ class TestFloorAExact:
             floor_A_exact(True)
         with pytest.raises(ValueError):
             floor_A_exact(0)
+
+
+class TestFloorThresholds:
+    """floor_A_exact reads floor(A(n)^2) as (4n + 6) // 9; the dropped
+    fraction (9n + 1)/(36 n^2) matters most where A(n) is closest to the
+    next integer, just below each step at n = floor(alpha(m))."""
+
+    def test_small_steps_and_first_n(self):
+        ns = [1, 2, 3]
+        for m in range(1, 10_001):
+            n = alpha_floor(m)
+            assert floor_A_exact(n) == m, m
+            assert floor_A_exact(n + 1) == m + 1, m
+            ns += [n, n + 1]
+        for n in ns:
+            assert floor_A_exact(n) == floor_via_alpha(n), n
+            assert floor_A_exact(n) == squared_radicand_floor(n), n
+
+    @pytest.mark.parametrize("digits", [500, 777, 1200])
+    def test_steps_at_many_digits(self, digits):
+        rng = random.Random(digits)
+        for _ in range(20):
+            m = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            n = alpha_floor(m)
+            for k, expected in ((n, m), (n + 1, m + 1)):
+                assert floor_A_exact(k) == expected
+                assert floor_via_alpha(k) == expected
+                assert squared_radicand_floor(k) == expected
 
 
 class TestCrossMethod:

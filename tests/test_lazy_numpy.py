@@ -1,0 +1,45 @@
+"""numpy is loaded only by the oracle, the sweep and verify: importing the
+package, exact floors and the partial-sum enclosures never load it."""
+
+import os
+import subprocess
+import sys
+
+import rootmean
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rootmean.__file__)))
+
+# run in a fresh isolated interpreter: this test process has numpy loaded
+SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import rootmean, rootmean.cli
+from rootmean import (
+    fast_mean, floor_A_exact, floor_via_alpha, partial_sum_root_enclosure
+)
+
+assert floor_A_exact(10 ** 3000) == floor_via_alpha(10 ** 3000)
+for r in (1, 2, 3, 2.5):
+    enc = partial_sum_root_enclosure(10, 10 ** 6, r)
+    assert 0 < enc.lo <= enc.hi
+assert rootmean.cli.main(["floor", "123456789012345678901234567890"]) == 0
+assert rootmean.cli.main(["sum", "--from", "3", "--to", "4000", "--root", "3"]) == 0
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+assert not loaded, loaded
+
+cert = fast_mean(10 ** 6, 1e-9)
+assert cert.method == "split" and cert.error_bound <= 1e-9
+assert "numpy" in sys.modules
+print("lazy numpy ok")
+"""
+
+
+def test_numpy_stays_out_of_floors_and_enclosures():
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", SCRIPT.format(src=SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "lazy numpy ok"
