@@ -7,7 +7,8 @@ floor(A(n)) for every n >= 1.  This package exposes:
 
 - exact integer floors of Sigma(n) for arbitrary-size n (exactfloor),
 - rigorous enclosures for partial sums of r-th roots (asymptotic),
-- a fast certified mean evaluator with user-chosen error tolerance,
+- a fast certified mean evaluator with user-chosen error tolerance, one
+  exact-integer path (a fixed head plus an Euler-Maclaurin closure),
   validated against a hardened direct-summation oracle (evaluator),
 - a CLI: rootmean {floor,mean,sum,verify,bench} (cli).
 """
@@ -26,8 +27,6 @@ from .asymptotic import (
 )
 from .evaluator import (
     CertifiedMean,
-    EvalPlan,
-    choose_nu,
     fast_mean,
     mean_decomposition_check,
     oracle_mean,
@@ -63,9 +62,7 @@ __all__ = [
     "partial_sum_root_enclosure",
     "lemma2_upper",
     "lemma2_lower",
-    "EvalPlan",
     "CertifiedMean",
-    "choose_nu",
     "fast_mean",
     "mean_decomposition_check",
     "oracle_sum_sqrt",

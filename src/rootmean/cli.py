@@ -76,19 +76,15 @@ def _run_floor(args: argparse.Namespace) -> "tuple[QueryResult, int]":
 
 
 def _run_mean(args: argparse.Namespace) -> "tuple[QueryResult, int]":
-    result = fast_mean(args.n, args.eps, nu=args.nu, cap=args.oracle_cap)
-    inputs = {"n": str(args.n), "eps": repr(args.eps)}
-    if args.nu is not None:
-        inputs["nu"] = str(args.nu)
+    result = fast_mean(args.n, args.eps)
     return (
         QueryResult(
             "mean",
-            inputs,
+            {"n": str(args.n), "eps": repr(args.eps)},
             result.decimal_value,
             repr(result.error_bound),
             result.method,
             extra={
-                "nu_used": str(result.plan.nu),
                 "budget_remainder": repr(result.budget.remainder),
                 "budget_head": repr(result.budget.head),
                 "budget_readout": repr(result.budget.readout),
@@ -253,7 +249,7 @@ def _run_bench(args: argparse.Namespace) -> "tuple[QueryResult | None, int]":
         t0 = time.perf_counter()
         oracle = oracle_mean(n, cap=args.oracle_cap)
         t1 = time.perf_counter()
-        result = fast_mean(n, args.eps, cap=args.oracle_cap)
+        result = fast_mean(n, args.eps)
         t2 = time.perf_counter()
         rows.append(
             {
@@ -261,7 +257,6 @@ def _run_bench(args: argparse.Namespace) -> "tuple[QueryResult | None, int]":
                 "oracle_ms": round((t1 - t0) * 1e3, 3),
                 "fast_ms": round((t2 - t1) * 1e3, 3),
                 "method": result.method,
-                "nu": result.plan.nu,
                 "value": result.decimal_value,
                 "error_bound": repr(result.error_bound),
                 "oracle_mid": repr(oracle.midpoint()),
@@ -270,7 +265,7 @@ def _run_bench(args: argparse.Namespace) -> "tuple[QueryResult | None, int]":
     if args.format == "json":
         print(json.dumps({"command": "bench", "eps": repr(args.eps), "rows": rows}))
         return None, 0
-    cols = ["n", "oracle_ms", "fast_ms", "method", "nu", "value", "error_bound"]
+    cols = ["n", "oracle_ms", "fast_ms", "method", "value", "error_bound"]
     widths = {
         c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols
     }
@@ -286,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output record format (default: text)",
     )
-    common.add_argument(
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument(
         "--oracle-cap", type=_positive_int, default=None, metavar="COUNT",
         help="max terms any direct summation may touch "
         "(default: ROOTMEAN_ORACLE_CAP or 10**8)",
@@ -306,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_positive_int)
     p.add_argument("--eps", type=float, default=1e-9,
                    help="target absolute error bound (default: 1e-9)")
-    p.add_argument("--nu", type=_positive_int, default=None,
-                   help="force the split point (must be <= n-2)")
     p.set_defaults(func=_run_mean)
 
     p = sub.add_parser("sum", parents=[common],
@@ -318,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="root order r >= 1 (default: 2)")
     p.set_defaults(func=_run_sum)
 
-    p = sub.add_parser("verify", parents=[common], help="property sweeps")
+    p = sub.add_parser("verify", parents=[common, oracle], help="property sweeps")
     p.add_argument("--max-n", type=_positive_int, default=100_000)
     p.add_argument("--mode", choices=sorted(_VERIFY_MODES), required=True)
     p.set_defaults(func=_run_verify)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="time direct summation versus the split evaluator")
+    p = sub.add_parser("bench", parents=[common, oracle],
+                       help="time oracle summation versus fast_mean")
     p.add_argument("sizes", type=_positive_int, nargs="*",
                    default=[10_000, 100_000, 1_000_000])
     p.add_argument("--eps", type=float, default=1e-9)

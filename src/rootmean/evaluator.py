@@ -1,20 +1,17 @@
-"""Fast certified means: a hardened summation oracle, split-point selection,
-and the closed-form approximation
+"""Fast certified means and the hardened summation oracle that checks them.
 
-    Sigma~(nu, n) = (1/n) (n A(n) + nu Sigma(nu) - nu A(nu)).
+fast_mean answers every n through one exact-integer path: a bracket of
+sum_{k=1}^{n} sqrt(k) in 2**96-scaled integers (_scaled.partial_sum_enc),
+read out once as a binary64 value and a proven error bound.  Below n = 64
+the bracket is the exact head sum; from 64 on it is an integer bracket of
+zeta(-1/2) plus the n-side Euler-Maclaurin terms, whose remainder has a
+proven sign and size.  Nothing is summed per query, and numpy is not
+loaded.
 
-Its remainder is pinned from both sides by the paper's bracket: for
-nu <= n - 2,
-
-    n Sigma~ - n Sigma(n) = delta(nu+1, n) / 24,
-    sigma(nu+3, n+2) < delta(nu+1, n) < sigma(nu+1, n),
-
-so subtracting the bracket moves the estimate onto Sigma(n) and leaves a
-half-width of at most (nu^(-1/2) - (nu+2)^(-1/2)) / (48 n) <= nu^(-3/2) / (48 n).
-Only the first nu terms are ever summed; the rest is absorbed by the same
-identity that backs partial_sum_sqrt_enclosure.  Direct summation is kept as
-the ground-truth oracle (and as the answer for small n), with a rigorous
-accumulated-rounding bound so it can certify everything else.
+The direct-summation oracle (oracle_sum_sqrt, oracle_mean, the prefix
+pass behind _oracle_mean_many and sweep_theorem1) is the independent
+cross-check: correctly rounded numpy square roots under a rigorous
+accumulated-rounding bound.  It is the only code here that loads numpy.
 """
 
 from __future__ import annotations
@@ -40,14 +37,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "EvalPlan",
     "ErrorBudget",
     "CertifiedMean",
-    "DEFAULT_DIRECT_THRESHOLD",
-    "DEFAULT_NU_MIN",
     "oracle_sum_sqrt",
     "oracle_mean",
-    "choose_nu",
     "fast_mean",
     "mean_decomposition_check",
     "sweep_theorem1",
@@ -55,9 +48,6 @@ __all__ = [
 
 _CHUNK = 1 << 20  # fixed partition: reductions are bit-reproducible
 _DEFAULT_CAP = 100_000_000
-
-DEFAULT_DIRECT_THRESHOLD = 10_000
-DEFAULT_NU_MIN = 16
 
 
 def _check_eps(epsilon: float) -> float:
@@ -127,7 +117,7 @@ def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
     count = n - nu + 1
     if count > cap:
         raise ValueError(f"range of {count} terms exceeds the oracle cap {cap}")
-    import numpy as np  # the one numpy import on a mean query
+    import numpy as np
 
     total, comp = 0.0, 0.0
     err = 0.0
@@ -154,34 +144,14 @@ def oracle_mean(n: int, *, cap: "int | None" = None) -> Enclosure:
     )
 
 
-@dataclass(frozen=True)
-class EvalPlan:
-    """How a mean query will be answered: split at nu (sum only 1..nu, close
-    the rest in one formula) or direct (sum everything)."""
-
-    n: int
-    epsilon: float
-    nu: int
-    method: str  # "direct" | "split"
-
-    def __post_init__(self) -> None:
-        if self.method not in ("direct", "split"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.nu < 1:
-            raise ValueError(f"nu must be >= 1, got {self.nu}")
-        if self.method == "split" and self.nu > self.n - 2:
-            raise ValueError(
-                f"split plans need nu <= n - 2, got nu={self.nu}, n={self.n}"
-            )
-
-
 class ErrorBudget(NamedTuple):
     """Where a certificate's error_bound comes from, each part rounded up to
-    binary64: remainder is the half-width of the closed-form legs (the
-    remainder bracket and the scaled A-terms; 0 for direct summation), head
-    the half-width of the summed terms, and readout the ulp(value) charged
-    for rounding the midpoint.  error_bound is the smallest binary64 at or
-    above their exact sum."""
+    binary64: head is the half-width of the exactly summed terms (one unit
+    of 2**-96 per term, at most 63 terms), remainder the half-width of the
+    rest (the zeta(-1/2) bracket and the roundings of the n-side
+    Euler-Maclaurin terms; 0 below n = 64), and readout the ulp(value)
+    charged for rounding the midpoint.  error_bound is the smallest binary64
+    at or above their exact sum."""
 
     remainder: float
     head: float
@@ -195,13 +165,13 @@ class CertifiedMean:
     midpoint; decimal_value is the shortest decimal of that midpoint which
     still parses back to value, so prints carry the midpoint's true leading
     digits (the payload's own shortest repr can disagree in the last place).
+    method is "exact-sum" below n = 64 and "euler-maclaurin" from there on;
     budget splits error_bound into its sources.
     """
 
     value: float
     error_bound: float
     method: str
-    plan: EvalPlan
     decimal_value: str
     budget: ErrorBudget
 
@@ -239,63 +209,6 @@ def _readout_ulps(n: int, epsilon: float) -> tuple[float, float]:
     return (math.ulp(low) if low > 0.0 else 0.0), math.ulp(high)
 
 
-def _direct_floor(n: int, readout_floor: float) -> float:
-    """A proven lower bound on the error_bound of every direct certificate
-    of Sigma(n) that meets an epsilon whose readout floor is readout_floor:
-    nearly readout_floor + 2**-54 Sigma(n).
-
-    The certificate charges ulp(value) >= readout_floor plus the half-width
-    of the oracle's mean, which is at least err/n for the oracle sum's
-    error charge err.  err includes half an ulp of the oracle's sum s, and
-    ulp(s) > 2**-53 s with s >= n Sigma(n) - err, so err > 2**-54 n Sigma(n)
-    / (1 + 2**-54).  _sigma_range's lower end sits more than 3 * 2**-53
-    relative below Sigma(n), which absorbs that divisor; nextafter makes
-    the float sum a lower bound of the exact one.
-    """
-    return math.nextafter(readout_floor + 2.0 ** -54 * _sigma_range(n)[0], 0.0)
-
-
-def choose_nu(n: int, epsilon: float) -> EvalPlan:
-    """Split-point selection whose split provably meets epsilon in one try.
-
-    A split at nu is charged (see _split_mean and _certify):
-
-    - remainder < nu^(-3/2)/(48 n) + 2**-96: the bracket's
-      (nu^(-1/2) - (nu+2)^(-1/2))/(48 n) by the mean value theorem, plus
-      fewer than 2n units of 2**-96 from the integer ends of the A-terms and
-      of the bracket, over the denominator 2 n 2**96;
-    - head <= 2**-50 (nu+1)^(3/2) / n: the oracle's half-width for one chunk
-      is below 4.5 ulp of its sum, which is < (2/3) (nu+1)^(3/2);
-    - readout = ulp(value) <= R, the charge from _readout_ulps.
-
-    With room = (epsilon - R) (1 - 2**-20), nu is the least integer >= 16
-    with nu^(-3/2)/(48 n) <= room/2, that is (24 n room)^2 nu^3 >= 1, and
-    the plan splits only if 2**-50 (nu+1)^(3/2)/n + 2**-96 <= room/2 too.
-    Then remainder + head <= room; rounding each part up adds a relative
-    2**-52 at most, so the parts sum to <= epsilon, and so does error_bound,
-    the smallest binary64 at or above that sum.  Both tests are a dozen
-    correctly rounded operations on positive floats, far inside the 2**-20
-    slack; the power only seeds the search.  Together they admit
-    nu <= 28 600, inside one oracle chunk, where the head bound holds.
-
-    n below DEFAULT_DIRECT_THRESHOLD, no room, nu > n - 2 or a head over its
-    share selects direct summation instead.
-    """
-    n = _as_index(n)
-    epsilon = _check_eps(epsilon)
-    _check_float_range(n)
-    room = (epsilon - _readout_ulps(n, epsilon)[1]) * (1.0 - 2.0 ** -20)
-    if n >= DEFAULT_DIRECT_THRESHOLD and room > 0.0:
-        t = 24.0 * n * room
-        nu = max(DEFAULT_NU_MIN, math.ceil(t ** (-2.0 / 3.0)))
-        while nu <= n - 2 and t * t * nu ** 3 < 1.0:
-            nu += 1
-        head = 2.0 ** -50 * (nu + 1) * math.sqrt(nu + 1) / n
-        if nu <= n - 2 and head + 2.0 ** -96 <= room / 2:
-            return EvalPlan(n, epsilon, nu, "split")
-    return EvalPlan(n, epsilon, n, "direct")
-
-
 def _shortest_roundtrip(num: int, den: int, payload: float) -> str:
     """Shortest decimal rendering of the certified midpoint num/den that
     still parses back to the binary64 payload."""
@@ -310,7 +223,7 @@ def _shortest_roundtrip(num: int, den: int, payload: float) -> str:
     return repr(payload)
 
 
-def _certify(lo: int, hi: int, den: int, plan: EvalPlan, head: int) -> CertifiedMean:
+def _certify(lo: int, hi: int, den: int, method: str, head: int) -> CertifiedMean:
     """The certificate for a mean bracketed by lo/den <= Sigma(n) <= hi/den,
     of whose width head integer units come from summed terms.
 
@@ -328,100 +241,40 @@ def _certify(lo: int, hi: int, den: int, plan: EvalPlan, head: int) -> Certified
     if math.fsum((*parts, -bound)) > 0.0:
         bound = math.nextafter(bound, math.inf)
     decimal_value = _shortest_roundtrip(lo + hi, den2, value)
-    return CertifiedMean(
-        value, bound, plan.method, plan, decimal_value, ErrorBudget(*parts)
-    )
+    return CertifiedMean(value, bound, method, decimal_value, ErrorBudget(*parts))
 
 
-def _split_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
-    n, nu = plan.n, plan.nu
-    head = oracle_sum_sqrt(1, nu, cap=cap)  # this sum *is* nu * Sigma(nu)
-    a_n_lo, a_n_hi = _scaled.nA_enc(n)  # n A(n), scaled 2**96
-    a_nu_lo, a_nu_hi = _scaled.nA_enc(nu)  # nu A(nu), scaled 2**96
-    # the head sum is >= 1, so its outward-rounded endpoints stay >= 1/2 and
-    # their ulps (>= 2**-53) are multiples of 2**-96: scaling them to the
-    # 2**96 grid is exact
-    head_lo = int(math.ldexp(head.lo, _scaled.BITS))
-    head_hi = int(math.ldexp(head.hi, _scaled.BITS))
-    # exact integer bracket for n Sigma~ = n A(n) + nu Sigma(nu) - nu A(nu)
-    # over the denominator n 2**96; binary64 would cancel ~n^(3/2)-sized
-    # operands down to the 1e-7 scale and lose the certification, so the one
-    # rounding happens at the readout.  n Sigma~ - n Sigma(n) = delta(nu+1, n)
-    # / 24 lies above sigma(nu+3, n+2)/24 > ((nu+2)^(-1/2) - n^(-1/2))/24 and
-    # below sigma(nu+1, n)/24 = (nu^(-1/2) - n^(-1/2))/24; subtracting both
-    # sides brackets n Sigma(n), and one bracket of n^(-1/2) cancels from
-    # the width
-    t_lo, t_hi = _scaled.rsqrt_enc(n)
-    up = -((t_lo - _scaled.rsqrt_enc(nu)[1]) // 24)
-    down = (_scaled.rsqrt_enc(nu + 2)[0] - t_hi) // 24
-    lo = a_n_lo + head_lo - a_nu_hi - up
-    hi = a_n_hi + head_hi - a_nu_lo - down
-    return _certify(lo, hi, n * _scaled.ONE, plan, head_hi - head_lo)
-
-
-def _direct_mean(plan: EvalPlan, cap: "int | None") -> CertifiedMean:
-    enc = oracle_mean(plan.n, cap=cap)
-    lo_num, lo_den = enc.lo.as_integer_ratio()
-    hi_num, hi_den = enc.hi.as_integer_ratio()
-    den = max(lo_den, hi_den)  # powers of two: the larger is a common multiple
-    lo, hi = lo_num * (den // lo_den), hi_num * (den // hi_den)
-    return _certify(lo, hi, den, plan, hi - lo)
-
-
-def fast_mean(
-    n: int,
-    epsilon: float,
-    *,
-    nu: "int | None" = None,
-    cap: "int | None" = None,
-) -> CertifiedMean:
+def fast_mean(n: int, epsilon: float) -> CertifiedMean:
     """Certified mean of the first n square roots with error_bound <= epsilon.
 
-    One evaluation, no retry.  choose_nu plans a split at nu whose budget
-    provably meets epsilon, or direct summation: the split sums only 1..nu
-    and closes the rest with Sigma~ and its two-sided remainder bracket, in
-    exact scaled integers, so the only binary64 rounding is the final
-    readout.  A direct plan, or a forced nu, that misses epsilon raises with
+    One exact path for every n: _scaled.partial_sum_enc brackets
+    sum_{k=1}^{n} sqrt(k) in 2**96-scaled integers (the exact head below
+    n = 64, a fixed 63-term head plus an Euler-Maclaurin closure from 64
+    on), and _certify reads the bracket over n 2**96 out once.  Epsilon
+    below the readout floor F, a proven lower bound on ulp(value), is
+    refused before anything is evaluated, since every certificate is
+    charged ulp(value); a certificate that still misses epsilon raises with
     the achieved bound.
-
-    Two requests raise before anything is summed, because no certificate
-    can meet them: epsilon below the readout floor F, a proven lower bound
-    on ulp(value), and a direct plan with epsilon below F + 2**-54 Sigma(n)
-    (_direct_floor), which is too close to the readout floor for direct
-    summation.
     """
     n = _as_index(n)
     epsilon = _check_eps(epsilon)
     _check_float_range(n)
-    # every certificate charges ulp(value) for the readout: no plan can
-    # certify below that floor, so refuse before summing anything
     readout_floor = _readout_ulps(n, epsilon)[0]
     if epsilon < readout_floor:
         raise ValueError(
             f"cannot certify epsilon={epsilon!r} for n={n}: it is below the "
             f"readout floor {readout_floor!r}, a lower bound on ulp(value)"
         )
-    if nu is None:
-        plan = choose_nu(n, epsilon)
+    lo, hi = _scaled.partial_sum_enc(n)
+    if n < _scaled.HEAD_END:
+        method, head = "exact-sum", hi - lo
     else:
-        nu = _as_index(nu, name="nu")
-        if nu > n - 2:
-            raise ValueError(f"forced nu must satisfy nu <= n - 2, got nu={nu}, n={n}")
-        plan = EvalPlan(n, epsilon, nu, "split")
-    if plan.method == "direct":
-        direct_floor = _direct_floor(n, readout_floor)
-        if epsilon < direct_floor:
-            raise ValueError(
-                f"cannot certify epsilon={epsilon!r} for n={n}: it is too close "
-                f"to the readout floor {readout_floor!r} for the direct plan, "
-                f"whose sum is charged more than {direct_floor!r}"
-            )
-    evaluate = _split_mean if plan.method == "split" else _direct_mean
-    result = evaluate(plan, cap)
+        method, head = "euler-maclaurin", _scaled.HEAD_END - 1
+    result = _certify(lo, hi, n * _scaled.ONE, method, head)
     if result.error_bound > epsilon:
         raise ValueError(
-            f"cannot certify epsilon={epsilon!r} for n={n} with a {plan.method} "
-            f"plan at nu={plan.nu}: achieved bound {result.error_bound!r}"
+            f"cannot certify epsilon={epsilon!r} for n={n}: achieved bound "
+            f"{result.error_bound!r}"
         )
     return result
 

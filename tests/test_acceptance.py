@@ -3,7 +3,7 @@
 Each test exercises one deliverable at full advertised scale and prints a
 single summary line on success, so a verbose run reads as a checklist:
 
-1. the reference mean certificate at n = 10^7 with a pinned split point,
+1. the reference mean certificate at n = 10^7,
 2. the exact-floor identity swept against the oracle over n in [1, 10^6],
 3. agreement of both integer floor methods far beyond float range,
 4. containment of the scaled remainder between its elementary bounds,
@@ -49,7 +49,7 @@ class TestAcceptance:
         oracle = oracle_mean(n)
         oracle_elapsed = time.perf_counter() - t0
 
-        cert = fast_mean(n, 1e-9, nu=100)
+        cert = fast_mean(n, 1e-9)
         assert cert.decimal_value == "2108.185264872015"
         assert cert.error_bound <= 3e-12
 

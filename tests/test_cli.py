@@ -72,14 +72,14 @@ class TestFloor:
 
 class TestMean:
     def test_reference_value(self, capsys):
-        code, out, err = run_cli(capsys, "mean", "10000000", "--nu", "100")
+        code, out, err = run_cli(capsys, "mean", "10000000")
         assert code == 0 and err == ""
         rec = parse_text_record(out)
         assert rec["value"] == "2108.185264872015"
         bound = float(rec["error_bound"])
         assert bound <= 3e-12
-        assert rec["method"] == "split"
-        assert rec["nu_used"] == "100"
+        assert rec["method"] == "euler-maclaurin"
+        assert "nu_used" not in rec
         mid = oracle_mean(10 ** 7).midpoint()
         assert abs(float(rec["value"]) - mid) <= bound
 
@@ -91,7 +91,7 @@ class TestMean:
         assert all(p > 0.0 for p in parts)
         assert sum(parts) <= float(rec["error_bound"]) <= 1e-12
         assert parts[2] == math.ulp(float(rec["value"]))
-        assert rec["method"] == "split"
+        assert rec["method"] == "euler-maclaurin"
 
     def test_value_round_trips_payload(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "1000", "--format", "json")
@@ -105,7 +105,7 @@ class TestMean:
         code, out, _ = run_cli(capsys, "mean", "5", "--eps", "1e-12")
         rec = parse_text_record(out)
         assert code == 0
-        assert rec["method"] == "direct"
+        assert rec["method"] == "exact-sum"
         assert rec["value"].startswith("1.6764664694883")
 
     def test_loose_eps(self, capsys):
@@ -121,8 +121,10 @@ class TestMean:
         assert "floor" in err
 
     def test_rejects_bad_nu_and_eps(self, capsys):
-        code, _, err = run_cli(capsys, "mean", "10", "--nu", "9")
-        assert code == 2 and "nu" in err
+        # --nu is gone: argparse refuses it as a usage error
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "mean", "10", "--nu", "9")
+        assert exc.value.code == 2 and "nu" in capsys.readouterr().err
         code, _, err = run_cli(capsys, "mean", "10", "--eps", "-1")
         assert code == 2
 
@@ -248,27 +250,34 @@ class TestBench:
 class TestOracleCap:
     def test_flag_caps_the_oracle(self, capsys):
         code, _, err = run_cli(
-            capsys, "mean", "100000", "--eps", "1e-12", "--oracle-cap", "10"
+            capsys, "bench", "100000", "--eps", "1e-12", "--oracle-cap", "10"
         )
         assert code == 2 and "cap" in err
 
     def test_env_caps_the_oracle(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "10")
-        code, _, err = run_cli(capsys, "mean", "100000", "--eps", "1e-12")
+        code, _, err = run_cli(capsys, "bench", "100000", "--eps", "1e-12")
         assert code == 2 and "cap" in err
 
     def test_malformed_env_is_named(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "lots")
-        code, _, err = run_cli(capsys, "mean", "100", "--eps", "1e-9")
+        code, _, err = run_cli(capsys, "bench", "100", "--eps", "1e-9")
         assert code == 2 and "ROOTMEAN_ORACLE_CAP" in err
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "10")
         code, out, _ = run_cli(
-            capsys, "mean", "100000", "--eps", "1e-12", "--oracle-cap", "100000000"
+            capsys, "bench", "100000", "--eps", "1e-12", "--oracle-cap", "100000000",
+            "--format", "json",
         )
         assert code == 0
-        assert float(parse_text_record(out)["error_bound"]) <= 1e-12
+        assert float(json.loads(out)["rows"][0]["error_bound"]) <= 1e-12
+
+    def test_mean_takes_no_oracle_cap(self, capsys):
+        # fast_mean never reaches the oracle, so mean has no cap to set
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "mean", "100000", "--oracle-cap", "10")
+        assert exc.value.code == 2
 
 
 def test_console_entry_point():

@@ -1,5 +1,6 @@
-"""Evaluator: oracle rigor, split-point policy, certified means, and the
-floor sweep machinery."""
+"""Evaluator: oracle rigor, the fixed head and Euler-Maclaurin closure of
+fast_mean, certified means, the paper's split route, and the floor sweep
+machinery."""
 
 import math
 import time
@@ -7,21 +8,17 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rootmean import _scaled
+from rootmean.asymptotic import partial_sum_sqrt_enclosure
 from rootmean.evaluator import (
     _CHUNK,
-    EvalPlan,
     _certify,
-    _direct_floor,
-    _direct_mean,
     _oracle_mean_many,
     _expected_floor_table,
     _readout_ulps,
-    _split_mean,
-    choose_nu,
     fast_mean,
     mean_decomposition_check,
     oracle_mean,
@@ -34,6 +31,28 @@ from rootmean.exactfloor import floor_A_exact
 def mp_sqrt_sum(a: int, b: int) -> mp.mpf:
     with mp.workdps(60):
         return mp.fsum(mp.sqrt(k) for k in range(a, b + 1))
+
+
+def mp_mean(n: int) -> mp.mpf:
+    """Sigma(n) at 60 digits: summed directly up to 3000, else zeta(-1/2)
+    plus twelve Euler-Maclaurin terms of sum sqrt(k) at n, all in mpmath
+    (the first omitted term is below 1e-80 for n > 3000)."""
+    if n <= 3000:
+        return mp_sqrt_sum(1, n) / n
+    with mp.workdps(60):
+        x = mp.mpf(n)
+        root = mp.sqrt(x)
+        total = mp.zeta(-0.5) + 2 * x * root / 3 + root / 2
+        fall = mp.mpf(1) / 2  # (1/2)(-1/2)...(1/2-2j+2)
+        for j in range(1, 13):
+            total += mp.bernoulli(2 * j) / mp.factorial(2 * j) * fall * root / x ** (2 * j - 1)
+            fall *= (mp.mpf(1) / 2 - (2 * j - 1)) * (mp.mpf(1) / 2 - 2 * j)
+        return total / n
+
+
+def contains_truth(r, n: int) -> bool:
+    with mp.workdps(60):
+        return abs(mp.mpf(r.value) - mp_mean(n)) <= mp.mpf(r.error_bound)
 
 
 class TestOracleSum:
@@ -107,24 +126,23 @@ class TestOracleMean:
 
 
 class TestChooseNu:
+    """The split point is no longer chosen: terms 1..63 are summed exactly
+    and everything from a = 64 on is closed by one Euler-Maclaurin formula,
+    whatever epsilon asks for."""
+
     def test_frozen_plans(self):
-        splits = [
-            (10 ** 7, 4.2e-10, 16),  # clamped to the floor value
-            (10 ** 7, 1.0, 16),  # clamped to the floor value
-            (10 ** 6, 1e-12, 1303),
-            (10 ** 7, 1e-12, 388),
-        ]
-        for n, epsilon, nu in splits:
-            p = choose_nu(n, epsilon)
-            assert (p.method, p.nu) == ("split", nu)
+        for n, epsilon in [(10 ** 7, 4.2e-10), (10 ** 7, 1.0), (10 ** 6, 1e-12), (10 ** 7, 1e-12)]:
             r = fast_mean(n, epsilon)
-            assert r.plan == p
+            assert r.method == "euler-maclaurin"
             assert r.error_bound <= epsilon
-        p = choose_nu(10, 1e-15)
-        assert p.method == "direct"
-        # direct summation of ten terms reaches 2.0e-15, not 1e-15
-        with pytest.raises(ValueError, match="cannot certify.*achieved bound"):
-            fast_mean(10, 1e-15)
+            # 63 units of 2**-96 from the head, over 2 n
+            assert r.budget.head == pytest.approx(31.5 * 2.0 ** -96 / n, rel=1e-15)
+        # ten terms are summed exactly, so 1e-15 now certifies at little
+        # more than the readout ulp (direct summation reached 2.0e-15)
+        r = fast_mean(10, 1e-15)
+        assert r.method == "exact-sum"
+        assert r.error_bound == 4.440892098500689e-16
+        assert contains_truth(r, 10)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -134,29 +152,35 @@ class TestChooseNu:
         st.integers(min_value=0, max_value=4),
     )
     def test_split_plan_meets_epsilon_first_try(self, n, kind, log_eps, k):
-        # the plan's budget is proven: a split it selects never misses, so
-        # fast_mean needs no second attempt.  Near the readout floor F the
-        # room left for the remainder is k ulp(value) or k ulp(epsilon)
-        floor = _readout_ulps(n, 1e-300)[0]
+        # every epsilon a hair above the proven readout charge R certifies
+        # in one call: the closure's half-width (below 5e-30 from n = 10**4)
+        # fits into 2**-40 R.  Near the charge the room is k ulp(value) or
+        # k ulp(epsilon)
+        charge = _readout_ulps(n, 1e-300)[1] * (1 + 2.0 ** -40)
         if kind == "log":
             epsilon = 10.0 ** log_eps
         elif kind == "ulps_of_value":
-            epsilon = floor * (1 + k)
+            epsilon = charge * (1 + k)
         else:
-            epsilon = floor + k * math.ulp(floor)
-        plan = choose_nu(n, epsilon)
-        if plan.method == "split":
-            r = _split_mean(plan, None)
-            assert r.error_bound <= epsilon
-            assert r.budget.readout <= _readout_ulps(n, epsilon)[1]
+            epsilon = charge + k * math.ulp(charge)
+        assume(epsilon >= _readout_ulps(n, epsilon)[1] * (1 + 2.0 ** -40))
+        r = fast_mean(n, epsilon)
+        assert r.error_bound <= epsilon
+        assert r.budget.readout <= _readout_ulps(n, epsilon)[1]
 
     def test_direct_below_threshold(self):
-        assert choose_nu(9999, 1e-9).method == "direct"
-        assert choose_nu(10 ** 4, 1e-9).method == "split"
+        # the exact head ends at 63; the old direct threshold was 10**4
+        assert fast_mean(63, 1e-9).method == "exact-sum"
+        assert fast_mean(64, 1e-9).method == "euler-maclaurin"
+        assert fast_mean(9999, 1e-9).method == "euler-maclaurin"
 
     def test_formula_beyond_n_minus_two_goes_direct(self):
-        p = choose_nu(10 ** 4, 1e-15)
-        assert p.method == "direct"
+        # (10**4, 3e-14) needed a split beyond n - 2, so all 10**4 terms
+        # were summed; now the same fixed head answers it
+        r = fast_mean(10 ** 4, 3e-14)
+        assert r.method == "euler-maclaurin"
+        assert r.error_bound <= 3e-14
+        assert r.budget.head == pytest.approx(31.5 * 2.0 ** -96 / 10 ** 4, rel=1e-15)
 
     @settings(max_examples=100)
     @given(
@@ -164,33 +188,25 @@ class TestChooseNu:
         st.floats(min_value=1e-14, max_value=1.0, allow_nan=False),
     )
     def test_plan_always_valid(self, n, epsilon):
-        plan = choose_nu(n, epsilon)
-        assert plan.n == n and plan.epsilon == epsilon
-        if plan.method == "split":
-            assert 1 <= plan.nu <= n - 2
-        else:
-            assert plan.nu == n
+        # either a certificate that meets epsilon, by the method n selects,
+        # or a refusal of an epsilon within 2**-40 of the readout charge
+        try:
+            r = fast_mean(n, epsilon)
+        except ValueError as exc:
+            assert "cannot certify" in str(exc)
+            assert epsilon < _readout_ulps(n, epsilon)[1] * (1 + 2.0 ** -40)
+            return
+        assert r.error_bound <= epsilon
+        assert r.method == ("exact-sum" if n < 64 else "euler-maclaurin")
 
     def test_rejects_bad_epsilon(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                choose_nu(100, bad)
+                fast_mean(100, bad)
 
     def test_rejects_beyond_exact_range(self):
         with pytest.raises(ValueError, match="floor_A_exact"):
-            choose_nu(2 ** 53 + 2, 1e-9)
-
-
-class TestEvalPlan:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EvalPlan(100, 1e-9, 99, "split")  # nu > n - 2
-        with pytest.raises(ValueError):
-            EvalPlan(100, 1e-9, 0, "direct")
-        with pytest.raises(ValueError):
-            EvalPlan(100, 1e-9, 50, "other")
-        plan = EvalPlan(100, 1e-9, 98, "split")
-        assert plan.nu == 98
+            fast_mean(2 ** 53 + 2, 1e-9)
 
 
 class TestCertify:
@@ -202,9 +218,8 @@ class TestCertify:
         st.integers(min_value=1, max_value=2 ** 160),
     )
     def test_integer_readout_matches_rationals(self, lo, rest, head, den):
-        plan = EvalPlan(10, 1.0, 10, "direct")
         hi = lo + rest + head
-        r = _certify(lo, hi, den, plan, head)
+        r = _certify(lo, hi, den, "exact-sum", head)
         mid = Fraction(lo + hi, 2 * den)
         # value is the correctly rounded midpoint: no neighbour is closer
         gap = abs(Fraction(r.value) - mid)
@@ -223,23 +238,24 @@ class TestCertify:
         assert Fraction(math.nextafter(r.error_bound, -math.inf)) < parts
         assert Fraction(r.error_bound) >= Fraction(hi - lo, 2 * den) + Fraction(b.readout)
         assert float(r.decimal_value) == r.value
-        assert (r.method, r.plan) == ("direct", plan)
+        assert r.method == "exact-sum"
 
 
 class TestFastMean:
     def test_reference_split_certificate(self):
-        r = fast_mean(10 ** 7, 1e-9, nu=100)
+        r = fast_mean(10 ** 7, 1e-9)
         assert r.decimal_value == "2108.185264872015"
         assert float(r.decimal_value) == r.value
         assert r.error_bound <= 3e-12
-        assert r.method == "split" and r.plan.nu == 100
+        assert r.method == "euler-maclaurin"
+        # all but the readout ulp: the closure and the 63-term head
+        assert r.budget.remainder + r.budget.head <= 1e-29
         mid = oracle_mean(10 ** 7).midpoint()
         assert r.value - r.error_bound <= mid <= r.value + r.error_bound
 
     def test_sigma_tilde_reference(self):
         # Sigma~ itself, from the scaled A-terms and the head sum at nu=100,
-        # sits 4.1e-10 above the mean; the remainder bracket moves the
-        # certificate's value off it and onto Sigma(n)
+        # sits 4.1e-10 above the mean; the certificate sits on Sigma(n)
         n, nu = 10 ** 7, 100
         head = oracle_sum_sqrt(1, nu)
         scale = lambda x: int(math.ldexp(x, _scaled.BITS))
@@ -249,22 +265,28 @@ class TestFastMean:
         assert tilde == 2108.1852648724285
         mid = oracle_mean(n).midpoint()
         assert 4.05e-10 <= tilde - mid <= 4.22e-10
-        r = fast_mean(n, 1e-9, nu=nu)
+        r = fast_mean(n, 1e-9)
         assert tilde - r.value > r.error_bound
 
     def test_direct_small(self):
         r = fast_mean(5, 1e-12)
-        assert r.method == "direct"
+        assert r.method == "exact-sum"
         assert r.value == 1.6764664694883524
         assert r.error_bound <= 1e-12
 
     def test_forced_nu_must_be_small_enough(self):
+        # the split point can be forced only on the paper's route, which
+        # needs nu < n; fast_mean takes no nu
         with pytest.raises(ValueError, match="nu"):
+            partial_sum_sqrt_enclosure(10, 10)
+        with pytest.raises(TypeError):
             fast_mean(10, 0.5, nu=9)
 
-    def test_forced_nu_that_cannot_certify_raises(self):
-        with pytest.raises(ValueError, match="cannot certify"):
-            fast_mean(10 ** 6, 1e-14, nu=16)
+    def test_missed_epsilon_raises_with_achieved_bound(self):
+        # 1.5e-16 clears the readout floor of Sigma(1) = 1 (ulp(1 - eps) =
+        # 1.1e-16), but the value 1.0 is charged ulp(1.0) = 2.2e-16
+        with pytest.raises(ValueError, match="cannot certify.*achieved bound"):
+            fast_mean(1, 1.5e-16)
 
     @pytest.mark.parametrize(
         "n,epsilon",
@@ -273,54 +295,74 @@ class TestFastMean:
             (10 ** 9, 1e-12),
             (10 ** 12, 8e-11),
             (10 ** 7, 2.5e-13),
-            (10 ** 6, 1.1368683772161605e-13),
-            (10 ** 12, 1.1641532182693484e-10),
         ],
     )
     def test_below_readout_floor_fails_fast(self, n, epsilon):
         # epsilon under ulp(value) can never be met, since every certificate
-        # is charged that ulp; the refusal must come before any summation
+        # is charged that ulp; the refusal must come before any evaluation
         # (seconds of summation before the check existed).  (10**12, 8e-11)
         # and (10**7, 2.5e-13) lie between half an ulp and one ulp of
-        # Sigma(n).  The last two sit one ulp above the readout charge, where
-        # no split fits and direct summation, charged that ulp plus the
-        # oracle's half-width, cannot meet them either: they used to sum
-        # 10**6 terms, or reach the oracle cap, before failing
+        # Sigma(n)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="cannot certify.*readout floor"):
             fast_mean(n, epsilon)
         assert time.perf_counter() - start < 0.01
 
+    @pytest.mark.parametrize(
+        "n,epsilon",
+        [(10 ** 6, 1.1368683772161605e-13), (10 ** 12, 1.1641532182693484e-10)],
+    )
+    def test_one_ulp_above_readout_charge_certifies(self, n, epsilon):
+        # one ulp above the readout charge: no split fitted here and direct
+        # summation, charged that ulp plus the oracle's half-width, could
+        # not meet them, so they were refused; the exact path meets them
+        r = fast_mean(n, epsilon)
+        assert r.error_bound <= epsilon
+        assert contains_truth(r, n)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2 ** 53])
+    def test_seam_certificates_contain_truth(self, n):
+        # both sides of the seam between the exact head and the closure,
+        # and the largest n, at the tightest epsilon the readout allows
+        epsilon = _readout_ulps(n, 1e-300)[1] * (1 + 2.0 ** -40)
+        r = fast_mean(n, epsilon)
+        assert r.method == ("exact-sum" if n < 64 else "euler-maclaurin")
+        assert contains_truth(r, n)
+
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=200_000))
-    def test_direct_floor_is_below_every_direct_certificate(self, n):
-        # the fail-fast refusal of direct plans must never refuse a request
-        # that direct summation could meet
-        r = _direct_mean(EvalPlan(n, 1.0, n, "direct"), None)
-        floor = _readout_ulps(n, r.error_bound)[0]
-        assert r.error_bound > _direct_floor(n, floor)
+    @given(st.integers(min_value=1, max_value=2 ** 53))
+    def test_readout_floor_is_below_every_certificate(self, n):
+        # the fail-fast refusal must never refuse a request that the exact
+        # path meets
+        r = fast_mean(n, 1.0)
+        assert r.error_bound >= _readout_ulps(n, r.error_bound)[0]
+        assert fast_mean(n, r.error_bound) == r
 
     @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
     def test_one_split_reaches_tight_tolerance(self, n):
-        # 1e-12 is about 9 and 2 ulp of Sigma(n) here; the two-sided
-        # remainder bracket lets one planned split land it with a short
-        # head, where the one-sided tail needed nu near n (10**6) or could
-        # not certify at all (10**7)
+        # 1e-12 is about 9 and 2 ulp of Sigma(n) here
         start = time.perf_counter()
         r = fast_mean(n, 1e-12)
         assert r.error_bound <= 1e-12
-        assert r.method in ("split", "direct")
+        assert r.method == "euler-maclaurin"
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n", [5, 100, 3000])
     def test_forced_nu_extremes_contain_truth(self, n):
-        # both sides of the remainder bracket at the shortest and the
-        # longest heads
-        truth = mp_sqrt_sum(1, n) / n
-        for nu in sorted({1, 2, n - 3, n - 2}):
-            r = fast_mean(n, 1e-2, nu=nu)
-            assert r.method == "split" and r.plan.nu == nu
-            assert abs(mp.mpf(r.value) - truth) <= mp.mpf(r.error_bound), nu
+        # the paper's route at the shortest and the longest heads: the exact
+        # prefix over 1..nu-1 (one unit of 2**-96 per term) plus the
+        # closed-form enclosure of nu..n, against mpmath and fast_mean
+        truth = mp_sqrt_sum(1, n)
+        prefix = _scaled.sqrt_prefix(n)
+        fast = fast_mean(n, 1e-2)
+        with mp.workdps(60):
+            for nu in sorted({1, 2, n - 3, n - 2}):
+                tail = partial_sum_sqrt_enclosure(nu, n)
+                lo = mp.mpf(prefix[nu - 1]) / _scaled.ONE + mp.mpf(tail.lo)
+                hi = mp.mpf(prefix[nu - 1] + nu - 1) / _scaled.ONE + mp.mpf(tail.hi)
+                assert lo <= truth <= hi, nu
+                assert lo / n <= mp.mpf(fast.value) + mp.mpf(fast.error_bound), nu
+                assert hi / n >= mp.mpf(fast.value) - mp.mpf(fast.error_bound), nu
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -348,17 +390,24 @@ class TestFastMean:
             assert float(r.decimal_value) == r.value
             digits = sum(c.isdigit() for c in r.decimal_value)
             assert digits <= 17
-            assert r.method == r.plan.method
+            assert r.method == ("exact-sum" if n < 64 else "euler-maclaurin")
 
     def test_split_and_direct_agree(self):
-        split = fast_mean(10 ** 5, 1e-9)
-        direct = _direct_mean(EvalPlan(10 ** 5, 1e-9, 10 ** 5, "direct"), None)
-        assert direct.method == "direct"
-        assert abs(split.value - direct.value) <= split.error_bound + direct.error_bound
+        # the exact path and direct summation by the oracle
+        fast = fast_mean(10 ** 5, 1e-9)
+        direct = oracle_mean(10 ** 5)
+        assert fast.value - fast.error_bound <= direct.hi
+        assert fast.value + fast.error_bound >= direct.lo
 
-    def test_cap_propagates(self):
+    def test_cap_propagates(self, monkeypatch):
+        # the oracle cap reaches the oracle's callers, and no longer reaches
+        # fast_mean, which sums nothing beyond its fixed head
         with pytest.raises(ValueError, match="cap"):
-            fast_mean(10 ** 5, 1e-9, cap=10)
+            oracle_mean(10 ** 5, cap=10)
+        monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "10")
+        with pytest.raises(ValueError, match="cap"):
+            oracle_mean(10 ** 5)
+        assert fast_mean(10 ** 5, 1e-9).error_bound <= 1e-9
 
     def test_tiny_n(self):
         r = fast_mean(1, 0.5)

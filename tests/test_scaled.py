@@ -154,3 +154,48 @@ class TestDeltaEnc:
             _scaled.delta_enc(prefix, 5, 5)
         with pytest.raises(ValueError):
             _scaled.delta_enc(prefix, 6, 5)
+
+
+class TestPartialSumEnc:
+    def test_zeta_bracket_contains_mpmath(self):
+        lo, hi = _scaled.ZETA_ENC
+        with mp.workdps(50):
+            truth = mp.zeta(-0.5) * ONE
+            assert mp.mpf(lo) <= truth <= mp.mpf(hi)
+        assert (hi - lo) / ONE < 2e-26
+
+    def test_coefficients_match_bernoulli(self):
+        # c_j = B_{2j}/(2j)! (1/2)(-1/2)...(1/2-2j+2), from mpmath's own
+        # Bernoulli numbers
+        with mp.workdps(50):
+            for j, (num, den) in enumerate(_scaled._C, start=1):
+                fall = mp.fprod(mp.mpf(1) / 2 - i for i in range(2 * j - 1))
+                c = mp.bernoulli(2 * j) / mp.factorial(2 * j) * fall
+                assert abs(mp.mpf(num) / den - c) <= abs(c) * mp.mpf(10) ** -45, j
+                assert den > 0
+
+    def test_head_is_the_prefix(self, prefix):
+        for n in range(1, _scaled.HEAD_END):
+            assert _scaled.partial_sum_enc(n) == _scaled.sum_sqrt_enc(prefix, 1, n)
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=_scaled.HEAD_END, max_value=PREFIX_LIMIT))
+    def test_closure_contains_truth(self, n):
+        lo, hi = _scaled.partial_sum_enc(n)
+        with mp.workdps(60):
+            truth = mp_sum_sqrt(1, n) * ONE
+            assert mp.mpf(lo) <= truth <= mp.mpf(hi)
+        # the head's 63 units, the zeta remainder and the roundings of N(n)
+        assert hi - lo <= 1300 + n
+
+    def test_closure_beyond_the_prefix(self):
+        # sum_{k=1}^{n} sqrt(k) = zeta(-1/2, 1) - zeta(-1/2, n+1) (Hurwitz)
+        for n in (4001, 20_000):
+            lo, hi = _scaled.partial_sum_enc(n)
+            with mp.workdps(60):
+                truth = (mp.zeta(-0.5) - mp.zeta(-0.5, n + 1)) * ONE
+                assert mp.mpf(lo) <= truth <= mp.mpf(hi), n
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            _scaled.partial_sum_enc(0)
