@@ -56,8 +56,9 @@ _MAX_EXACT = 2 ** 53  # largest n the floating path accepts
 def _check_float_range(n: int, name: str = "n", slack: int = 0) -> int:
     """The floating path refuses n beyond 2**53 rather than silently losing
     integer precision; slack admits internally shifted arguments (n+2).
-    This is the package's one 2**53 guard: the evaluator and the CLI reach
-    it through their library calls."""
+    This is the package's one 2**53 guard, reached by eval_A, sigma, the
+    enclosures and the oracle (and by the CLI through them); fast_mean and
+    floor_A_exact work in exact integers and never call it."""
     if n > _MAX_EXACT + slack:
         raise ValueError(
             f"{name}={n} exceeds 2**53; binary64 cannot carry it exactly: "

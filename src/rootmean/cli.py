@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_floor)
 
     p = sub.add_parser("mean", parents=[common], help="certified mean")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_positive_int, help="any positive integer below 2**2046")
     p.add_argument("--eps", type=float, default=1e-9,
                    help="target absolute error bound (default: 1e-9)")
     p.set_defaults(func=_run_mean)

@@ -149,9 +149,10 @@ class ErrorBudget(NamedTuple):
     binary64: head is the half-width of the exactly summed terms (one unit
     of 2**-96 per term, at most 63 terms), remainder the half-width of the
     rest (the zeta(-1/2) bracket and the roundings of the n-side
-    Euler-Maclaurin terms; 0 below n = 64), and readout the ulp(value)
-    charged for rounding the midpoint.  error_bound is the smallest binary64
-    at or above their exact sum."""
+    Euler-Maclaurin terms; 0 below n = 64), and readout the exact distance
+    |value - midpoint| from the rounding, at most ulp(value)/2.
+    error_bound is the smallest binary64 at or above the exact sum of the
+    three shares, so it is at most the parts' sum rounded up."""
 
     remainder: float
     head: float
@@ -162,11 +163,13 @@ class ErrorBudget(NamedTuple):
 class CertifiedMean:
     """A mean with a guaranteed absolute error bound: |true - value| is at
     most error_bound.  value is the binary64 rounding of the certified
-    midpoint; decimal_value is the shortest decimal of that midpoint which
-    still parses back to value, so prints carry the midpoint's true leading
-    digits (the payload's own shortest repr can disagree in the last place).
-    method is "exact-sum" below n = 64 and "euler-maclaurin" from there on;
-    budget splits error_bound into its sources.
+    midpoint, and error_bound charges the bracket's half-width plus the
+    exact distance between value and that midpoint; decimal_value is the
+    shortest decimal of the midpoint which still parses back to value, so
+    prints carry the midpoint's true leading digits (the payload's own
+    shortest repr can disagree in the last place).  method is "exact-sum"
+    below n = 64 and "euler-maclaurin" from there on; budget splits
+    error_bound into its sources.
     """
 
     value: float
@@ -176,48 +179,22 @@ class CertifiedMean:
     budget: ErrorBudget
 
 
-def _sigma_range(n: int) -> tuple[float, float]:
-    """Binary64 bounds low < Sigma(n) < high, each below 2**-50 relative of
-    Sigma(n) away from it.
+# Sigma(n) < (2/3) sqrt(n+2) < 2**1023 for n < 2**2046, so value is finite
+_MEAN_LIMIT = 2 ** 2046
 
-    (2/3) sqrt(n+1) < Sigma(n) < (2/3) sqrt(n+2) for every n >= 1: the mean
-    identity gives Sigma(n) = A(n) - 1/(6n) - delta(1, n)/(24n) with
-    0 < delta(1, n) < 3/2, so A(n) - 11/(48n) < Sigma(n) < A(n); the lower
-    end is >= (2/3) sqrt(n+1) once sqrt(n+1) >= 11/8, and the upper end is
-    the envelope A(n) < (2/3) sqrt(n+2) (n >= 2; Sigma(1) = 1).  The float
-    ends take five roundings of at most 2**-53 relative each, which the
-    2**-50 relative widening covers.
-    """
-    x = float(n)
-    return (
-        (2.0 / 3.0) * math.sqrt(x + 1.0) * (1.0 - 2.0 ** -50),
-        (2.0 / 3.0) * math.sqrt(x + 2.0) * (1.0 + 2.0 ** -50),
-    )
-
-
-def _readout_ulps(n: int, epsilon: float) -> tuple[float, float]:
-    """(floor, charge): proven bounds floor <= ulp(value) <= charge for every
-    certificate of Sigma(n) whose half-width is at most epsilon.
-
-    The certified midpoint lies within the half-width of Sigma(n), so value,
-    its correct rounding, lies between the float neighbours of
-    Sigma(n) -+ epsilon (bounded by _sigma_range), and ulp is monotone.
-    """
-    low, high = _sigma_range(n)
-    low = math.nextafter(low - epsilon, -math.inf)
-    high = math.nextafter(high + epsilon, math.inf)
-    return (math.ulp(low) if low > 0.0 else 0.0), math.ulp(high)
+_QUOTIENT = decimal.Context(prec=40)
+_ROUNDERS = [decimal.Context(prec=digits) for digits in range(1, 18)]
 
 
 def _shortest_roundtrip(num: int, den: int, payload: float) -> str:
     """Shortest decimal rendering of the certified midpoint num/den that
     still parses back to the binary64 payload."""
-    d = decimal.Context(prec=40).divide(num, den)
+    d = _QUOTIENT.divide(num, den)
     # repr(payload) is the shortest string that parses back to payload, so
     # no rendering with fewer significant digits can: start the search there
     shortest = len(repr(payload).split("e")[0].replace(".", "").strip("0"))
-    for digits in range(shortest, 18):
-        cand = str(decimal.Context(prec=digits).plus(d))  # rounds to digits
+    for rounder in _ROUNDERS[shortest - 1 :]:
+        cand = str(rounder.plus(d))  # rounds to rounder.prec digits
         if float(cand) == payload:
             return cand
     return repr(payload)
@@ -227,43 +204,47 @@ def _certify(lo: int, hi: int, den: int, method: str, head: int) -> CertifiedMea
     """The certificate for a mean bracketed by lo/den <= Sigma(n) <= hi/den,
     of whose width head integer units come from summed terms.
 
-    value is the correctly rounded midpoint (int/int true division rounds
-    once).  The budget rounds the half-widths of the head and of the rest
-    up to binary64 and charges one ulp(value) for the readout; error_bound
-    is the smallest binary64 >= their exact sum.  fsum rounds that sum, and
-    the residual's rounding keeps its exact sign (it is a nonzero multiple
-    of a part's ulp, or zero).
+    value = p/q is the correctly rounded midpoint num/(2 den), num = lo+hi
+    (int/int true division rounds once), so its readout error is exactly
+    dev/(2 den q) with dev = |2 den p - q num|, at most ulp(value)/2.
+    error_bound is the smallest binary64 >= the half-width plus that error;
+    the budget rounds each of the three shares up on its own.
     """
-    den2 = 2 * den
-    value = (lo + hi) / den2
-    parts = (_round_up(hi - lo - head, den2), _round_up(head, den2), math.ulp(value))
-    bound = math.fsum(parts)
-    if math.fsum((*parts, -bound)) > 0.0:
-        bound = math.nextafter(bound, math.inf)
-    decimal_value = _shortest_roundtrip(lo + hi, den2, value)
-    return CertifiedMean(value, bound, method, decimal_value, ErrorBudget(*parts))
+    num, den2 = lo + hi, 2 * den
+    value = num / den2
+    p, q = value.as_integer_ratio()
+    dev = abs(p * den2 - q * num)
+    bound = _round_up(q * (hi - lo) + dev, q * den2)
+    budget = ErrorBudget(
+        _round_up(hi - lo - head, den2), _round_up(head, den2), _round_up(dev, q * den2)
+    )
+    decimal_value = _shortest_roundtrip(num, den2, value)
+    return CertifiedMean(value, bound, method, decimal_value, budget)
 
 
 def fast_mean(n: int, epsilon: float) -> CertifiedMean:
     """Certified mean of the first n square roots with error_bound <= epsilon.
 
-    One exact path for every n: _scaled.partial_sum_enc brackets
-    sum_{k=1}^{n} sqrt(k) in 2**96-scaled integers (the exact head below
-    n = 64, a fixed 63-term head plus an Euler-Maclaurin closure from 64
-    on), and _certify reads the bracket over n 2**96 out once.  Epsilon
-    below the readout floor F, a proven lower bound on ulp(value), is
-    refused before anything is evaluated, since every certificate is
-    charged ulp(value); a certificate that still misses epsilon raises with
-    the achieved bound.
+    One exact path for every 1 <= n < 2**2046: _scaled.partial_sum_enc
+    brackets sum_{k=1}^{n} sqrt(k) in 2**96-scaled integers (the exact head
+    below n = 64, a fixed 63-term head plus an Euler-Maclaurin closure from
+    64 on), and _certify reads the bracket over n 2**96 out once.  A
+    certificate that misses epsilon raises with the achieved bound.
+
+    The limit keeps value finite and is checked before any work.  Sigma(n)
+    < A(n) = (2/3) sqrt(n+1) (1 + 1/(4n)) by the mean identity Sigma(n) =
+    A(n) - 1/(6n) - delta(1, n)/(24n) with delta(1, n) > 0, and A(n) <
+    (2/3) sqrt(n+2) for n >= 2 (Sigma(1) = 1).  For n < 2**2046 that is
+    below (2/3) sqrt(2**2046 + 1) < 2**1023; the midpoint lies within the
+    bracket's half-width (below 2**-90) of Sigma(n), so its rounding stays
+    far below the binary64 overflow threshold 2**1024.
     """
     n = _as_index(n)
     epsilon = _check_eps(epsilon)
-    _check_float_range(n)
-    readout_floor = _readout_ulps(n, epsilon)[0]
-    if epsilon < readout_floor:
+    if n >= _MEAN_LIMIT:
         raise ValueError(
-            f"cannot certify epsilon={epsilon!r} for n={n}: it is below the "
-            f"readout floor {readout_floor!r}, a lower bound on ulp(value)"
+            "n must be below 2**2046, where the mean's binary64 value could "
+            "overflow: use floor_A_exact for its floor"
         )
     lo, hi = _scaled.partial_sum_enc(n)
     if n < _scaled.HEAD_END:

@@ -3,12 +3,13 @@ fast_mean, certified means, the paper's split route, and the floor sweep
 machinery."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootmean import _scaled
@@ -18,7 +19,6 @@ from rootmean.evaluator import (
     _certify,
     _oracle_mean_many,
     _expected_floor_table,
-    _readout_ulps,
     fast_mean,
     mean_decomposition_check,
     oracle_mean,
@@ -33,13 +33,20 @@ def mp_sqrt_sum(a: int, b: int) -> mp.mpf:
         return mp.fsum(mp.sqrt(k) for k in range(a, b + 1))
 
 
+def mp_dps(n: int) -> int:
+    """Working digits that keep 60 digits after the point of Sigma(n), whose
+    integer part has at most half as many digits as n."""
+    return 60 + len(str(n))
+
+
 def mp_mean(n: int) -> mp.mpf:
-    """Sigma(n) at 60 digits: summed directly up to 3000, else zeta(-1/2)
-    plus twelve Euler-Maclaurin terms of sum sqrt(k) at n, all in mpmath
-    (the first omitted term is below 1e-80 for n > 3000)."""
+    """Sigma(n) to 60 digits after the point: summed directly up to 3000,
+    else zeta(-1/2) plus twelve Euler-Maclaurin terms of sum sqrt(k) at n,
+    all in mpmath (the first omitted term is below 1e-80 for n > 3000)."""
     if n <= 3000:
-        return mp_sqrt_sum(1, n) / n
-    with mp.workdps(60):
+        with mp.workdps(60):
+            return mp_sqrt_sum(1, n) / n
+    with mp.workdps(mp_dps(n)):
         x = mp.mpf(n)
         root = mp.sqrt(x)
         total = mp.zeta(-0.5) + 2 * x * root / 3 + root / 2
@@ -51,7 +58,7 @@ def mp_mean(n: int) -> mp.mpf:
 
 
 def contains_truth(r, n: int) -> bool:
-    with mp.workdps(60):
+    with mp.workdps(mp_dps(n)):
         return abs(mp.mpf(r.value) - mp_mean(n)) <= mp.mpf(r.error_bound)
 
 
@@ -113,7 +120,8 @@ class TestOracleMean:
     )
     def test_contains_truth_and_reproduces(self, n, frozen):
         enc = oracle_mean(n)
-        truth = mp_sqrt_sum(1, n) / n
+        with mp.workdps(60):
+            truth = mp_sqrt_sum(1, n) / n
         assert mp.mpf(enc.lo) <= truth <= mp.mpf(enc.hi)
         assert enc.contains(frozen)
         again = oracle_mean(n)
@@ -137,11 +145,13 @@ class TestChooseNu:
             assert r.error_bound <= epsilon
             # 63 units of 2**-96 from the head, over 2 n
             assert r.budget.head == pytest.approx(31.5 * 2.0 ** -96 / n, rel=1e-15)
-        # ten terms are summed exactly, so 1e-15 now certifies at little
-        # more than the readout ulp (direct summation reached 2.0e-15)
+        # ten terms are summed exactly, so 1e-15 certifies at little more
+        # than the exact readout error |value - midpoint|, half of
+        # ulp(value) = 4.4e-16 here (direct summation reached 2.0e-15)
         r = fast_mean(10, 1e-15)
         assert r.method == "exact-sum"
-        assert r.error_bound == 4.440892098500689e-16
+        assert r.error_bound == 2.0445843941992263e-16
+        assert r.budget.readout <= math.ulp(r.value) / 2
         assert contains_truth(r, 10)
 
     @settings(max_examples=150, deadline=None)
@@ -152,21 +162,24 @@ class TestChooseNu:
         st.integers(min_value=0, max_value=4),
     )
     def test_split_plan_meets_epsilon_first_try(self, n, kind, log_eps, k):
-        # every epsilon a hair above the proven readout charge R certifies
-        # in one call: the closure's half-width (below 5e-30 from n = 10**4)
-        # fits into 2**-40 R.  Near the charge the room is k ulp(value) or
-        # k ulp(epsilon)
-        charge = _readout_ulps(n, 1e-300)[1] * (1 + 2.0 ** -40)
+        # one evaluation decides: fast_mean(n, epsilon) certifies exactly
+        # when epsilon reaches the achieved bound B, and then returns the
+        # same certificate.  Near B the room is k multiples of B or k
+        # ulp(B), down to one ulp below it
+        best = fast_mean(n, 1e300)
+        bound = best.error_bound
         if kind == "log":
             epsilon = 10.0 ** log_eps
         elif kind == "ulps_of_value":
-            epsilon = charge * (1 + k)
+            epsilon = bound * (1 + k)
         else:
-            epsilon = charge + k * math.ulp(charge)
-        assume(epsilon >= _readout_ulps(n, epsilon)[1] * (1 + 2.0 ** -40))
-        r = fast_mean(n, epsilon)
-        assert r.error_bound <= epsilon
-        assert r.budget.readout <= _readout_ulps(n, epsilon)[1]
+            epsilon = bound + (k - 1) * math.ulp(bound)
+        if epsilon < bound:
+            with pytest.raises(ValueError, match="cannot certify.*achieved bound"):
+                fast_mean(n, epsilon)
+            return
+        assert fast_mean(n, epsilon) == best
+        assert best.budget.readout <= math.ulp(best.value) / 2
 
     def test_direct_below_threshold(self):
         # the exact head ends at 63; the old direct threshold was 10**4
@@ -189,12 +202,12 @@ class TestChooseNu:
     )
     def test_plan_always_valid(self, n, epsilon):
         # either a certificate that meets epsilon, by the method n selects,
-        # or a refusal of an epsilon within 2**-40 of the readout charge
+        # or a refusal of an epsilon below the achieved bound
         try:
             r = fast_mean(n, epsilon)
         except ValueError as exc:
             assert "cannot certify" in str(exc)
-            assert epsilon < _readout_ulps(n, epsilon)[1] * (1 + 2.0 ** -40)
+            assert epsilon < fast_mean(n, 1e300).error_bound
             return
         assert r.error_bound <= epsilon
         assert r.method == ("exact-sum" if n < 64 else "euler-maclaurin")
@@ -205,8 +218,14 @@ class TestChooseNu:
                 fast_mean(100, bad)
 
     def test_rejects_beyond_exact_range(self):
-        with pytest.raises(ValueError, match="floor_A_exact"):
-            fast_mean(2 ** 53 + 2, 1e-9)
+        # n from 2**2046 on, where value could overflow, is refused before
+        # the bracket, which takes about 1 ms at n = 2**2045 and most of a
+        # second at 2**100000
+        for n in (2 ** 2046, 2 ** 5000, 2 ** 100_000):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"2\*\*2046.*floor_A_exact"):
+                fast_mean(n, 1.0)
+            assert time.perf_counter() - start < 0.01, n.bit_length()
 
 
 class TestCertify:
@@ -225,18 +244,26 @@ class TestCertify:
         gap = abs(Fraction(r.value) - mid)
         for step in (-math.inf, math.inf):
             assert gap <= abs(Fraction(math.nextafter(r.value, step)) - mid)
-        # each budget part is the smallest binary64 >= its exact share
+        # each budget part is the smallest binary64 >= its exact share; the
+        # readout's share is the rounding error |value - mid|, at most half
+        # an ulp of value
         b = r.budget
-        assert b.readout == math.ulp(r.value)
-        for part, exact in ((b.remainder, Fraction(rest, 2 * den)), (b.head, Fraction(head, 2 * den))):
+        readout = abs(Fraction(r.value) - mid)
+        shares = (
+            (b.remainder, Fraction(rest, 2 * den)),
+            (b.head, Fraction(head, 2 * den)),
+            (b.readout, readout),
+        )
+        for part, exact in shares:
             assert Fraction(part) >= exact
             assert part == 0.0 or Fraction(math.nextafter(part, -math.inf)) < exact
-        # error_bound is the smallest binary64 >= the parts' exact sum, so it
-        # covers the exact half-width plus the readout ulp
-        parts = Fraction(b.remainder) + Fraction(b.head) + Fraction(b.readout)
-        assert Fraction(r.error_bound) >= parts
-        assert Fraction(math.nextafter(r.error_bound, -math.inf)) < parts
-        assert Fraction(r.error_bound) >= Fraction(hi - lo, 2 * den) + Fraction(b.readout)
+        assert b.readout <= math.ulp(r.value) / 2
+        # error_bound is the smallest binary64 >= the exact half-width plus
+        # the readout error, so it covers |value - true| for any true value
+        # in the bracket
+        total = Fraction(hi - lo, 2 * den) + readout
+        assert Fraction(r.error_bound) >= total
+        assert Fraction(math.nextafter(r.error_bound, -math.inf)) < total
         assert float(r.decimal_value) == r.value
         assert r.method == "exact-sum"
 
@@ -248,7 +275,7 @@ class TestFastMean:
         assert float(r.decimal_value) == r.value
         assert r.error_bound <= 3e-12
         assert r.method == "euler-maclaurin"
-        # all but the readout ulp: the closure and the 63-term head
+        # all but the readout error: the closure and the 63-term head
         assert r.budget.remainder + r.budget.head <= 1e-29
         mid = oracle_mean(10 ** 7).midpoint()
         assert r.value - r.error_bound <= mid <= r.value + r.error_bound
@@ -283,10 +310,12 @@ class TestFastMean:
             fast_mean(10, 0.5, nu=9)
 
     def test_missed_epsilon_raises_with_achieved_bound(self):
-        # 1.5e-16 clears the readout floor of Sigma(1) = 1 (ulp(1 - eps) =
-        # 1.1e-16), but the value 1.0 is charged ulp(1.0) = 2.2e-16
-        with pytest.raises(ValueError, match="cannot certify.*achieved bound"):
-            fast_mean(1, 1.5e-16)
+        # Sigma(1) = 1 is read out exactly, so it certifies at about 2**-96,
+        # the exact head's half-width plus the readout error; 1e-40 is below
+        bound = fast_mean(1, 1.0).error_bound
+        assert bound < 2.0 ** -95
+        with pytest.raises(ValueError, match=f"cannot certify.*achieved bound {bound!r}"):
+            fast_mean(1, 1e-40)
 
     @pytest.mark.parametrize(
         "n,epsilon",
@@ -298,15 +327,23 @@ class TestFastMean:
         ],
     )
     def test_below_readout_floor_fails_fast(self, n, epsilon):
-        # epsilon under ulp(value) can never be met, since every certificate
-        # is charged that ulp; the refusal must come before any evaluation
-        # (seconds of summation before the check existed).  (10**12, 8e-11)
-        # and (10**7, 2.5e-13) lie between half an ulp and one ulp of
-        # Sigma(n)
+        # epsilon near or under ulp(value): the readout is charged its exact
+        # error, at most half an ulp, so these either certify or fail with
+        # the achieved bound, after one evaluation and never after seconds
+        # of summation.  (10**12, 8e-11) and (10**7, 2.5e-13) lie between
+        # half an ulp and one ulp of Sigma(n)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="cannot certify.*readout floor"):
-            fast_mean(n, epsilon)
-        assert time.perf_counter() - start < 0.01
+        try:
+            r = fast_mean(n, epsilon)
+        except ValueError as exc:
+            elapsed = time.perf_counter() - start
+            assert re.search("cannot certify.*achieved bound", str(exc))
+            assert fast_mean(n, 1e300).error_bound > epsilon
+        else:
+            elapsed = time.perf_counter() - start
+            assert r.error_bound <= epsilon
+            assert contains_truth(r, n)
+        assert elapsed < 0.01
 
     @pytest.mark.parametrize(
         "n,epsilon",
@@ -323,20 +360,40 @@ class TestFastMean:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 2 ** 53])
     def test_seam_certificates_contain_truth(self, n):
         # both sides of the seam between the exact head and the closure,
-        # and the largest n, at the tightest epsilon the readout allows
-        epsilon = _readout_ulps(n, 1e-300)[1] * (1 + 2.0 ** -40)
+        # and 2**53, at the tightest epsilon: the achieved bound
+        epsilon = fast_mean(n, 1e300).error_bound
         r = fast_mean(n, epsilon)
         assert r.method == ("exact-sum" if n < 64 else "euler-maclaurin")
+        assert r.budget.readout <= math.ulp(r.value) / 2
+        assert contains_truth(r, n)
+
+    @pytest.mark.parametrize(
+        "n",
+        [2 ** 53 + 2, 10 ** 30, 2 ** 2045 + 1, 2 ** 2046 - 1],
+        ids=["2**53+2", "10**30", "2**2045+1", "2**2046-1"],
+    )
+    def test_beyond_2_53_contains_truth(self, n):
+        # the bracket and the exact readout hold for any n below 2**2046,
+        # as the floor does; only the readout error grows with Sigma(n)
+        epsilon = fast_mean(n, 1e300).error_bound
+        r = fast_mean(n, epsilon)
+        assert r.method == "euler-maclaurin"
+        assert math.isfinite(r.value)
+        assert r.budget.readout <= math.ulp(r.value) / 2
+        assert r.budget.remainder + r.budget.head < 1e-29
+        assert float(r.decimal_value) == r.value
         assert contains_truth(r, n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=2 ** 53))
     def test_readout_floor_is_below_every_certificate(self, n):
-        # the fail-fast refusal must never refuse a request that the exact
-        # path meets
+        # the achieved bound is the exact threshold: a request at it
+        # returns the same certificate, one ulp below it is refused
         r = fast_mean(n, 1.0)
-        assert r.error_bound >= _readout_ulps(n, r.error_bound)[0]
+        assert r.budget.readout <= math.ulp(r.value) / 2
         assert fast_mean(n, r.error_bound) == r
+        with pytest.raises(ValueError, match="achieved bound"):
+            fast_mean(n, math.nextafter(r.error_bound, 0.0))
 
     @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
     def test_one_split_reaches_tight_tolerance(self, n):
@@ -372,14 +429,12 @@ class TestFastMean:
     def test_certificate_is_true_sampled(self, n, epsilon):
         r = fast_mean(n, epsilon)
         assert r.error_bound <= epsilon
-        truth = mp_sqrt_sum(1, n) / n if n <= 3000 else None
         enc = oracle_mean(n)
         # the certified interval must reach the oracle interval (a violation
         # would prove |value - truth| > error_bound)
         assert r.value - r.error_bound <= enc.hi
         assert r.value + r.error_bound >= enc.lo
-        if truth is not None:
-            assert abs(mp.mpf(r.value) - truth) <= mp.mpf(r.error_bound)
+        assert contains_truth(r, n)
 
     def test_decimal_value_round_trips(self):
         # decimal_value renders the certified midpoint's own digits; it must
@@ -421,7 +476,7 @@ class TestFastMean:
         with pytest.raises(ValueError):
             fast_mean(100, 0.0)
         with pytest.raises(ValueError, match="floor"):
-            fast_mean(2 ** 53 + 2, 1e-9)
+            fast_mean(2 ** 2046, 1e-9)
         with pytest.raises(TypeError):
             fast_mean(100.0, 1e-9)
         with pytest.raises(TypeError):
@@ -471,7 +526,7 @@ class TestOracleMeanMany:
         marks = [1, 5, 100, 3000]
         many = _oracle_mean_many(marks)
         for n in marks:
-            truth = mp_sqrt_sum(1, n) / n
+            truth = mp_mean(n)
             enc = many[n]
             assert mp.mpf(enc.lo) <= truth <= mp.mpf(enc.hi)
             single = oracle_mean(n)
