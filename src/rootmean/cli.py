@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import json
 import random
 import shlex
@@ -25,7 +26,7 @@ from .asymptotic import (
     partial_sum_root_enclosure,
 )
 from .evaluator import fast_mean, oracle_mean, sweep_theorem1
-from .exactfloor import AlphaThreshold, _as_index, alpha_floor, floor_A_exact
+from .exactfloor import AlphaThreshold, alpha_floor, floor_A_exact
 
 __all__ = ["QueryResult", "build_parser", "main"]
 
@@ -61,16 +62,29 @@ class QueryResult:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        return _as_index(int(text, 10))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}") from None
+    """A positive integer written in ASCII decimal digits, of any length.
+
+    int(text) refuses more than 4300 digits (Python's int/str conversion
+    limit); decimal.Decimal is not subject to it and converts exactly.  One
+    argv string is bounded by the OS, so the conversion is bounded too.
+    """
+    digits = text.strip()
+    if digits.isascii() and digits.isdigit():
+        n = int(decimal.Decimal(digits))
+        if n >= 1:
+            return n
+    raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of an integer of any length, past the int/str limit."""
+    return str(decimal.Decimal(n))
 
 
 def _run_floor(args: argparse.Namespace) -> "tuple[QueryResult, int]":
     value = floor_A_exact(args.n)
     return (
-        QueryResult("floor", {"n": str(args.n)}, str(value), "0", "exact"),
+        QueryResult("floor", {"n": _digits(args.n)}, _digits(value), "0", "exact"),
         0,
     )
 
@@ -98,10 +112,10 @@ def _run_sum(args: argparse.Namespace) -> "tuple[QueryResult, int]":
     start, stop, root = args.start, args.stop, args.root
     if start >= stop:
         raise ValueError(f"need --from < --to, got {start} >= {stop}")
-    inputs = {"from": str(start), "to": str(stop), "root": repr(root)}
+    inputs = {"from": _digits(start), "to": _digits(stop), "root": repr(root)}
     if root == 1.0:
         exact = (start + stop) * (stop - start + 1) // 2
-        return QueryResult("sum", inputs, str(exact), "0", "exact"), 0
+        return QueryResult("sum", inputs, _digits(exact), "0", "exact"), 0
     enc = partial_sum_root_enclosure(start, stop, root)
     return (
         QueryResult(

@@ -1,5 +1,6 @@
 """Command-line behavior: record shape, exit codes, determinism, formats."""
 
+import decimal
 import json
 import math
 import re
@@ -53,6 +54,17 @@ class TestFloor:
         rec = parse_text_record(out)
         assert rec["value"] == "66666666666666666666"
         assert rec["value"] == str(floor_A_exact(10 ** 40))
+
+    @pytest.mark.parametrize("digits", [5000, 9001])
+    def test_beyond_int_str_digit_limit(self, capsys, digits):
+        # int(str) and str(int) refuse more than 4300 digits; N and, at 9001
+        # digits, its floor too are parsed and echoed past that limit
+        n = (10 ** digits - 1) // 9  # digits ones
+        code, out, err = run_cli(capsys, "floor", "1" * digits, "--format", "json")
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        assert rec["n"] == "1" * digits
+        assert int(decimal.Decimal(rec["value"])) == floor_A_exact(n)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "floor", "8", "--format", "json")
@@ -166,6 +178,17 @@ class TestSum:
         assert code == 0
         assert rec["value"] == str(stop * (stop + 1) // 2)
         assert rec["error_bound"] == "0" and rec["method"] == "exact"
+
+    def test_r1_exact_beyond_int_str_digit_limit(self, capsys):
+        # a 3000-digit --to gives a 6000-digit sum, past the 4300-digit limit
+        stop = 10 ** 3000 - 1
+        code, out, err = run_cli(
+            capsys, "sum", "--from", "1", "--to", "9" * 3000, "--root", "1", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        assert rec["to"] == "9" * 3000
+        assert int(decimal.Decimal(rec["value"])) == stop * (stop + 1) // 2
 
     def test_default_root_is_square(self, capsys):
         code, out, _ = run_cli(capsys, "sum", "--from", "1", "--to", "100")

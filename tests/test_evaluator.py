@@ -8,17 +8,20 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootmean import _scaled
-from rootmean.asymptotic import partial_sum_sqrt_enclosure
+from rootmean import _scaled, evaluator
+from rootmean.asymptotic import Enclosure, partial_sum_sqrt_enclosure
 from rootmean.evaluator import (
     _CHUNK,
     _certify,
+    _floor_blocks,
+    _fold_chunk,
     _oracle_mean_many,
-    _expected_floor_table,
+    _spacing_sums,
     fast_mean,
     mean_decomposition_check,
     oracle_mean,
@@ -503,9 +506,17 @@ class TestMeanDecomposition:
 
 class TestSweep:
     def test_expected_table_matches_exact_floor(self):
-        table = _expected_floor_table(5000)
+        # the floor blocks partition [1, 5000] in order, and every n lies in
+        # exactly one block, whose m is its exact floor
+        blocks = _floor_blocks(5000)
+        owner = {}
+        for start, end, m in blocks:
+            for n in range(start, end + 1):
+                assert n not in owner
+                owner[n] = m
+        assert sorted(owner) == list(range(1, 5001))
         for n in range(1, 5001):
-            assert table[n] == floor_A_exact(n)
+            assert owner[n] == floor_A_exact(n)
 
     def test_clean_small(self):
         assert sweep_theorem1(10 ** 4) == (10 ** 4, [])
@@ -519,6 +530,140 @@ class TestSweep:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             sweep_theorem1(100, cap=10)
+
+    @pytest.mark.parametrize("first,last", [(-1, -1), (-4, -1), (0, 1)])
+    def test_disagreeing_block_end_is_localized(self, monkeypatch, first, last):
+        # a reader that shifts Sigma(n) up by one for some n at one end of
+        # block m = 40 (indices first..last into the block, from the end if
+        # negative): the sweep must then read every n of that block and
+        # report exactly the n a per-n read flags
+        start, end, m = _floor_blocks(10 ** 4)[39]
+        block = list(range(start, end + 1))
+        bad = block[first : last + 1 or None]
+
+        def shifted(ns, *, cap=None, real=evaluator._oracle_mean_many):
+            out = real(ns, cap=cap)
+            for n in bad:
+                if n in out:
+                    out[n] = Enclosure(out[n].lo + 1.0, out[n].hi + 1.0)
+            return out
+
+        monkeypatch.setattr(evaluator, "_oracle_mean_many", shifted)
+        flagged = []
+        for n in range(start, end + 1):
+            enc = shifted([n])[n]
+            if math.floor(enc.lo) == math.floor(enc.hi) != m:
+                flagged.append((n, m, math.floor(enc.lo)))
+        assert [n for n, _, _ in flagged] == bad
+        assert sweep_theorem1(10 ** 4) == (10 ** 4, flagged)
+
+
+def _reference_fold(roots, spacing, total, comp, err):
+    """The chunk fold before the exact integer sum: math.fsum readout."""
+    chunk = math.fsum(roots)
+    err += 0.5 * spacing * (1.0 + 2.0 ** -40)
+    err += 0.5 * math.ulp(chunk)
+    total, comp = evaluator._two_sum(total, chunk, comp)
+    err += 0.5 * math.ulp(comp)
+    return total, comp, err
+
+
+def _reference_mean_chunks(max_n):
+    """The per-element prefix pass the mark reader replaced, kept as the
+    slow reference: means and rounding bounds at every n of every chunk."""
+    carry_s, carry_c = 0.0, 0.0
+    base_err = 0.0
+    for a in range(1, max_n + 1, _CHUNK):
+        b = min(a + _CHUNK - 1, max_n)
+        ks = np.arange(a, b + 1, dtype=np.float64)
+        roots = np.sqrt(ks)
+        loc = np.cumsum(roots)
+        prefix = (carry_s + loc) + carry_c
+        term_err = 0.5 * np.cumsum(np.spacing(roots))
+        accum_err = 0.5 * np.cumsum(np.spacing(loc))
+        bound = base_err + (term_err + accum_err + 2.0 * np.spacing(prefix)) * (
+            1.0 + 2.0 ** -40
+        )
+        means = prefix / ks
+        mean_bound = bound / ks * (1.0 + 2.0 ** -40) + np.spacing(np.abs(means))
+        yield a, b, means, mean_bound
+        spacing = float(np.spacing(roots).sum())
+        carry_s, carry_c, base_err = _reference_fold(
+            roots, spacing, carry_s, carry_c, base_err
+        )
+
+
+def _reference_mean_many(marks):
+    out = {}
+    marks = sorted(set(marks))
+    for a, b, means, mean_bound in _reference_mean_chunks(marks[-1]):
+        for n in marks:
+            if a <= n <= b:
+                i = n - a
+                lo = math.nextafter(float(means[i] - mean_bound[i]), -math.inf)
+                hi = math.nextafter(float(means[i] + mean_bound[i]), math.inf)
+                out[n] = (lo, hi)
+    return out
+
+
+def _block_ends(max_n):
+    return sorted({n for start, end, _ in _floor_blocks(max_n) for n in (start, end)})
+
+
+_CROSSING = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 ** 21]
+_SWEEP_SIZES = [1, 2, 64, 2 ** 14, _CHUNK + 5, 2 ** 21]
+
+
+@pytest.fixture(scope="module")
+def reference_means():
+    marks = set(_CROSSING)
+    for max_n in _SWEEP_SIZES:
+        marks.update(_block_ends(max_n))
+    return _reference_mean_many(marks)
+
+
+class TestExactChunkSum:
+    @pytest.mark.parametrize(
+        "start", [1, 2, 3, 4, _CHUNK + 1, 10 ** 8 - _CHUNK + 1, 2 ** 52]
+    )
+    def test_matches_fsum_fold(self, start):
+        roots = np.sqrt(np.arange(start, start + _CHUNK, dtype=np.float64))
+        spacing = float(np.spacing(roots).sum())
+        for carry in [(0.0, 0.0, 0.0), (6.5e8, -3.0e-8, 1.0e-6)]:
+            assert _fold_chunk(roots, *carry) == _reference_fold(roots, spacing, *carry)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=2 ** 53 - 5000),
+        st.integers(min_value=1, max_value=5000),
+    )
+    def test_matches_fsum_anywhere(self, start, count):
+        roots = np.sqrt(np.arange(start, start + count, dtype=np.float64))
+        spacing = float(np.spacing(roots).sum())
+        assert _fold_chunk(roots, 0.0, 0.0, 0.0) == _reference_fold(
+            roots, spacing, 0.0, 0.0, 0.0
+        )
+
+    def test_int64_guard_refuses_instead_of_wrapping(self):
+        # 1024 * 2**52 = 2**62 fits in int64 and sums exactly; 2048 scales
+        # to 2**63 and would wrap, so it is refused, as is an overlong chunk
+        edge = np.array([1.0, 1024.0])
+        assert _fold_chunk(edge, 0.0, 0.0, 0.0)[0] == 1025.0
+        for roots in (np.array([1.0, 2048.0]), np.array([1.0, 2.0 ** 20])):
+            with pytest.raises(ValueError, match="int64"):
+                _fold_chunk(roots, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="int64"):
+            _fold_chunk(np.ones(_CHUNK + 1), 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="exact"):
+            _spacing_sums(np.array([1.0, 2.0 ** 60]), [1])
+
+    @pytest.mark.parametrize("start", [1, _CHUNK + 1])
+    def test_spacing_sums_match_cumsum(self, start):
+        roots = np.sqrt(np.arange(start, start + _CHUNK, dtype=np.float64))
+        idx = np.unique(np.concatenate([np.arange(0, _CHUNK, 997), [1, 2, 3, _CHUNK - 1]]))
+        for values in (roots, np.cumsum(roots)):
+            want = np.cumsum(np.spacing(values))[idx]
+            assert np.array_equal(_spacing_sums(values, idx), want)
 
 
 class TestOracleMeanMany:
@@ -543,3 +688,17 @@ class TestOracleMeanMany:
 
     def test_empty(self):
         assert _oracle_mean_many([]) == {}
+
+    @pytest.mark.parametrize("max_n", _SWEEP_SIZES)
+    def test_bit_identical_to_per_element_reference(self, max_n, reference_means):
+        marks = _block_ends(max_n)
+        many = _oracle_mean_many(marks)
+        assert {n: (e.lo, e.hi) for n, e in many.items()} == {
+            n: reference_means[n] for n in marks
+        }
+
+    def test_bit_identical_at_chunk_crossings(self, reference_means):
+        many = _oracle_mean_many(_CROSSING)
+        assert {n: (e.lo, e.hi) for n, e in many.items()} == {
+            n: reference_means[n] for n in _CROSSING
+        }
