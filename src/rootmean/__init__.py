@@ -23,40 +23,31 @@ from .asymptotic import (
     lemma2_upper,
     partial_sum_root_enclosure,
     partial_sum_sqrt_enclosure,
-    sigma,
 )
 from .evaluator import (
     CertifiedMean,
     fast_mean,
-    mean_decomposition_check,
     oracle_mean,
     oracle_sum_sqrt,
     sweep_theorem1,
 )
 from .exactfloor import (
-    AlphaThreshold,
-    Index,
     alpha_floor,
     floor_A_exact,
     floor_via_alpha,
-    isqrt,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "Index",
-    "isqrt",
     "floor_A_exact",
     "floor_via_alpha",
     "alpha_floor",
-    "AlphaThreshold",
     "Enclosure",
     "DeltaBounds",
     "RootOrder",
     "eval_A",
-    "sigma",
     "delta_bounds",
     "partial_sum_sqrt_enclosure",
     "partial_sum_root_enclosure",
@@ -64,7 +55,6 @@ __all__ = [
     "lemma2_lower",
     "CertifiedMean",
     "fast_mean",
-    "mean_decomposition_check",
     "oracle_sum_sqrt",
     "oracle_mean",
     "sweep_theorem1",

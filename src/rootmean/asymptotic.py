@@ -41,7 +41,6 @@ __all__ = [
     "DeltaBounds",
     "RootOrder",
     "eval_A",
-    "sigma",
     "delta_bounds",
     "partial_sum_sqrt_enclosure",
     "partial_sum_root_enclosure",
@@ -53,28 +52,19 @@ __all__ = [
 _MAX_EXACT = 2 ** 53  # largest n the floating path accepts
 
 
-def _check_float_range(n: int, name: str = "n", slack: int = 0) -> int:
+def _check_float_range(n: int, name: str = "n") -> int:
     """The floating path refuses n beyond 2**53 rather than silently losing
-    integer precision; slack admits internally shifted arguments (n+2).
-    This is the package's one 2**53 guard, reached by eval_A, sigma, the
+    integer precision: every integer up to 2**53 converts to binary64
+    exactly.  This is the package's one 2**53 guard, reached by eval_A, the
     enclosures and the oracle (and by the CLI through them); fast_mean and
-    floor_A_exact work in exact integers and never call it."""
-    if n > _MAX_EXACT + slack:
+    floor_A_exact work in exact integers and never call it.  The message
+    names the bound, not n, which may be too long to render."""
+    if n > _MAX_EXACT:
         raise ValueError(
-            f"{name}={n} exceeds 2**53; binary64 cannot carry it exactly: "
+            f"{name} exceeds 2**53; binary64 cannot carry it exactly: "
             "use the exact integer routines (floor_A_exact) instead"
         )
     return n
-
-
-def _as_exact_float(k: int, name: str) -> float:
-    f = float(k)
-    if f != k:
-        raise ValueError(
-            f"{name}={k} is not exactly representable in binary64; "
-            "use the exact integer routines (floor_A_exact) instead"
-        )
-    return f
 
 
 def _real_arg(x: object, minimum: float, name: str) -> float:
@@ -88,7 +78,7 @@ def _real_arg(x: object, minimum: float, name: str) -> float:
             raise TypeError(
                 f"{name} must be a float or exact integer, got {type(x).__name__}"
             ) from None
-        x = _as_exact_float(_check_float_range(xi, name), name)
+        x = float(_check_float_range(xi, name))
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     if x < minimum:
@@ -174,17 +164,6 @@ def eval_A(x: float) -> float:
     return (2.0 / 3.0) * math.sqrt(x + 1.0) * (1.0 + 0.25 / x)
 
 
-def sigma(nu: int, n: int) -> float:
-    """The elementary remainder bound: 3/2 - n^(-1/2) for nu == 1, else
-    (nu-1)^(-1/2) - n^(-1/2).  Arguments may arrive shifted (nu+2, n+2)."""
-    nu = _check_float_range(_as_index(nu, name="nu"), "nu", slack=2)
-    n = _check_float_range(_as_index(n), "n", slack=2)
-    tail = 1.0 / math.sqrt(_as_exact_float(n, "n"))
-    if nu == 1:
-        return 1.5 - tail
-    return 1.0 / math.sqrt(_as_exact_float(nu - 1, "nu-1")) - tail
-
-
 def delta_bounds(nu: int, n: int) -> DeltaBounds:
     """The bracket (sigma(nu+2, n+2), sigma(nu, n)) around the remainder
     delta_{nu,n}, taken from the exact 2**96-scaled brackets and rounded
@@ -262,8 +241,7 @@ def _root_main_term(nu: int, n: int, r: float) -> tuple[float, float, float]:
     t2 = (r/(r+1)) nu^(1/r) (nu - (1+1/r)/2), returned as (t1, t2, rel):
     the evaluation error of t1 - t2 is at most (|t1| + |t2|) rel.  At r=2,
     t1 - t2 agrees with n A(n) - (2/3) sqrt(nu)(nu - 3/4) up to rounding."""
-    nf = _as_exact_float(n, "n")
-    nuf = _as_exact_float(nu, "nu")
+    nf, nuf = float(n), float(nu)  # exact: the caller caps n at 2**53
     c = r / (r + 1.0)
     head_root, rel_head = _pow_value(nf + 1.0, 1.0 / r)
     tail_root, rel_tail = _pow_value(nuf, 1.0 / r)

@@ -4,6 +4,10 @@ queries with one structured record per query on stdout.
 Exit codes: 0 success, 1 verification found a counterexample, 2 usage or
 domain error.  Identical inputs produce bit-identical records except for
 the elapsed_ms field.
+
+verify --mode delta, lemma2 and lemma3 decide every check by an exact
+integer comparison, so exit code 1 means a real counterexample; only
+--mode theorem1 reads the binary64 oracle, under its rigorous bound.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import decimal
+import functools
 import json
+import math
 import random
 import shlex
 import sys
@@ -19,14 +25,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import _scaled
-from .asymptotic import (
-    eval_A,
-    lemma2_lower,
-    lemma2_upper,
-    partial_sum_root_enclosure,
-)
-from .evaluator import fast_mean, oracle_mean, sweep_theorem1
-from .exactfloor import AlphaThreshold, alpha_floor, floor_A_exact
+from .asymptotic import partial_sum_root_enclosure
+from .evaluator import _DEFAULT_CAP, fast_mean, oracle_mean, sweep_theorem1
+from .exactfloor import alpha_floor, floor_A_exact
 
 __all__ = ["QueryResult", "build_parser", "main"]
 
@@ -111,7 +112,7 @@ def _run_mean(args: argparse.Namespace) -> "tuple[QueryResult, int]":
 def _run_sum(args: argparse.Namespace) -> "tuple[QueryResult, int]":
     start, stop, root = args.start, args.stop, args.root
     if start >= stop:
-        raise ValueError(f"need --from < --to, got {start} >= {stop}")
+        raise ValueError("need --from < --to")
     inputs = {"from": _digits(start), "to": _digits(stop), "root": repr(root)}
     if root == 1.0:
         exact = (start + stop) * (stop - start + 1) // 2
@@ -129,7 +130,7 @@ def _run_sum(args: argparse.Namespace) -> "tuple[QueryResult, int]":
     )
 
 
-def _verify_theorem1(max_n: int, cap: "int | None"):
+def _verify_theorem1(max_n: int, cap: int):
     checked, mismatches = sweep_theorem1(max_n, cap=cap)
     failures = [
         (str(n), f"floor {exp}", f"floor {got}") for n, exp, got in mismatches
@@ -137,7 +138,7 @@ def _verify_theorem1(max_n: int, cap: "int | None"):
     return checked, failures
 
 
-def _verify_delta(max_n: int, cap: "int | None"):
+def _verify_delta(max_n: int, cap: int):
     """Exact scaled-integer containment sigma(nu+2,n+2) < delta_{nu,n} <
     sigma(nu,n) on sampled pairs, plus delta_{1,n} < 3/2."""
     if max_n < 2:
@@ -169,62 +170,119 @@ def _verify_delta(max_n: int, cap: "int | None"):
     return len(pairs), failures
 
 
-def _verify_lemma2(max_n: int, cap: "int | None"):
-    """A(x) < (2/3) sqrt(x+2) on [2, max_n] and A(x) > (2/3) sqrt(x+5/4)
-    + 1/(4x) on [6, max_n], on a log-spaced grid."""
+# A(x) = (2/3) sqrt(x+1) (1 + 1/(4x)) = (4x+1) sqrt(x+1) / (6x).  Each
+# predicate below decides one claim about A exactly: every step of its
+# proof is an equivalence, so the integer comparison is the claim itself.
+
+
+def _under_upper_envelope(p: int, q: int) -> bool:
+    """A(x) < (2/3) sqrt(x+2) at x = p/q > 0.
+
+    Both sides are positive, so squaring keeps the order:
+    (4x+1)^2 (x+1) / (36 x^2) < (4/9)(x+2), that is (4x+1)^2 (x+1) <
+    16 x^2 (x+2); times q^3, (4p+q)^2 (p+q) < 16 p^2 (p+2q)."""
+    return (4 * p + q) ** 2 * (p + q) < 16 * p * p * (p + 2 * q)
+
+
+def _over_lower_envelope(p: int, q: int) -> bool:
+    """A(x) > (2/3) sqrt(x+5/4) + 1/(4x) at x = p/q > 0.
+
+    Times 12x > 0, with 8x sqrt(x+5/4) = 4x sqrt(4x+5), the claim reads
+    2(4x+1) sqrt(x+1) > 4x sqrt(4x+5) + 3.  Both sides are positive, so
+    squaring keeps the order: 64x^3 + 96x^2 + 36x + 4 > 64x^3 + 80x^2 + 9 +
+    24x sqrt(4x+5), that is D = 16x^2 + 36x - 5 > 24x sqrt(4x+5).  The
+    right side is positive, so this holds iff D > 0 and D^2 > 576 x^2
+    (4x+5).  Times q^2 and q^4, with a = 16p^2 + 36pq - 5q^2: a > 0 and
+    a^2 > 576 p^2 q (4p+5q)."""
+    a = 16 * p * p + 36 * p * q - 5 * q * q
+    return a > 0 and a * a > 576 * p * p * q * (4 * p + 5 * q)
+
+
+def _below_step(n: int, s: int) -> bool:
+    """A(n) < s for integers n, s >= 1: both sides are positive, so square:
+    (4n+1)^2 (n+1) / (36 n^2) < s^2, that is (4n+1)^2 (n+1) < 36 n^2 s^2."""
+    return (4 * n + 1) ** 2 * (n + 1) < 36 * n * n * s * s
+
+
+def _over_step(x: int, s: int) -> bool:
+    """A(x) - 1/(4x) > s for integers x, s >= 1: times 12x > 0, the claim
+    reads 2(4x+1) sqrt(x+1) > 12xs + 3; both sides are positive, so
+    squaring keeps the order: 4 (4x+1)^2 (x+1) > (12xs + 3)^2."""
+    return 4 * (4 * x + 1) ** 2 * (x + 1) > (12 * x * s + 3) ** 2
+
+
+_LEMMA2_LIMIT = 10 ** 1000
+_LEMMA2_POINTS = 2000
+
+
+def _lemma2_grid(max_n: int) -> "list[tuple[int, int]]":
+    """Exact rationals p/q in [2, max_n], in increasing order: 2, 6 and
+    max_n where they lie in range, and about _LEMMA2_POINTS points spaced
+    evenly in log2.  Each spaced point is 2**t = 2**k * 2**(t - k), k =
+    floor(t), with 2**(t - k) taken exactly from its binary64 value; the
+    spacing only chooses where to look, and every check runs on the exact
+    rational."""
+    top = math.log2(max_n)
+    points = {(2, 1), (6, 1), (max_n, 1)}
+    for i in range(_LEMMA2_POINTS):
+        t = 1.0 + (top - 1.0) * i / (_LEMMA2_POINTS - 1)
+        k = math.floor(t)
+        p, q = (2.0 ** (t - k)).as_integer_ratio()
+        p <<= k
+        g = math.gcd(p, q)
+        points.add((p // g, q // g))
+    by_value = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    return sorted(((p, q) for p, q in points if 2 * q <= p <= max_n * q), key=by_value)
+
+
+def _verify_lemma2(max_n: int, cap: int):
+    """Lemma 2's envelopes at each rational x = p/q of _lemma2_grid, in
+    integers: A(x) < (2/3) sqrt(x+2) for x >= 2 and A(x) > (2/3)
+    sqrt(x+5/4) + 1/(4x) for x >= 6.  The limit on max_n bounds the
+    integers (about 4 log2(max_n) bits); no value is rounded."""
     if max_n < 2:
         raise ValueError("lemma2 mode needs --max-n >= 2")
-    import numpy as np
-
-    xs = np.unique(
-        np.concatenate(
-            [np.geomspace(2.0, float(max_n), 2000), [2.0, 6.0, float(max_n)]]
-        )
-    )
+    if max_n > _LEMMA2_LIMIT:
+        raise ValueError("lemma2 mode checks exact rationals; --max-n <= 10**1000")
     checked = 0
     failures = []
-    for x in xs:
-        x = float(x)
-        if x < 2.0:
-            continue
+    for p, q in _lemma2_grid(max_n):
         checked += 1
-        up = lemma2_upper(x)
-        if not eval_A(x) < up:
-            failures.append((repr(x), f"A(x) < {up!r}", repr(eval_A(x))))
-        if x >= 6.0:
+        if not _under_upper_envelope(p, q):
+            failures.append((f"{p}/{q}", "A(x) < (2/3) sqrt(x+2)", "violated"))
+        if p >= 6 * q:
             checked += 1
-            low = lemma2_lower(x)
-            if not eval_A(x) > low:
-                failures.append((repr(x), f"A(x) > {low!r}", repr(eval_A(x))))
+            if not _over_lower_envelope(p, q):
+                failures.append(
+                    (f"{p}/{q}", "A(x) > (2/3) sqrt(x+5/4) + 1/(4x)", "violated")
+                )
     return checked, failures
 
 
-def _verify_lemma3(max_n: int, cap: "int | None"):
-    """At every threshold alpha(m) = (9/4)(m+1)^2 - 2 for m <= max_n: the
-    exact floor steps from m to m+1 across alpha, and A(n) < m+1 at n =
-    floor(alpha) while A(n) - 1/(4n) > m+1 just past it.  The cap on max_n
-    bounds the loop and keeps m small enough that binary64 can separate the
-    ~1/(9(m+1)) gap."""
+def _verify_lemma3(max_n: int, cap: int):
+    """Lemma 3 at every threshold alpha(m) = (9/4)(m+1)^2 - 2 for m <=
+    max_n, with n = alpha_floor(m) and x = n + 1, in integers: n <=
+    alpha(m) < x (as 4n <= 9(m+1)^2 - 8 < 4x), the exact floor steps from
+    m at n to m+1 at x, A(n) < m+1 (_below_step) and A(x) - 1/(4x) > m+1
+    (_over_step).  The cap on max_n only bounds the loop."""
     if max_n > 1_000_000:
         raise ValueError("lemma3 mode checks every threshold; --max-n <= 10**6")
     checked = 0
     failures = []
     for m in range(1, max_n + 1):
-        at = AlphaThreshold.of(m)
         n = alpha_floor(m)
+        x, s = n + 1, m + 1
         checked += 1
-        nf, n2f = float(n), float(n + 1)
         ok = (
-            at.admits(n)
-            and not at.admits(n + 1)
+            4 * n <= 9 * s * s - 8 < 4 * x
             and floor_A_exact(n) == m
-            and floor_A_exact(n + 1) == m + 1
-            and eval_A(nf) < m + 1
-            and eval_A(n2f) - 0.25 / n2f > m + 1
+            and floor_A_exact(x) == s
+            and _below_step(n, s)
+            and _over_step(x, s)
         )
         if not ok:
             failures.append(
-                (str(n), f"floor steps {m} -> {m + 1} at alpha({m})", "violated")
+                (str(n), f"floor steps {m} -> {s} at alpha({m})", "violated")
             )
     return checked, failures
 
@@ -297,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle = argparse.ArgumentParser(add_help=False)
     oracle.add_argument(
-        "--oracle-cap", type=_positive_int, default=None, metavar="COUNT",
-        help="max terms any direct summation may touch "
-        "(default: ROOTMEAN_ORACLE_CAP or 10**8)",
+        "--oracle-cap", type=_positive_int, default=_DEFAULT_CAP, metavar="COUNT",
+        help="max terms any direct summation may touch (default: 10**8)",
     )
 
     parser = argparse.ArgumentParser(

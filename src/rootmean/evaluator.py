@@ -17,7 +17,8 @@ closed form (power-of-two spacings counted per binade).  sweep_theorem1
 checks Theorem 1, floor(Sigma(n)) = floor(A(n)), for every n up to a
 limit by reading that pass only at the two ends of each block on which
 floor(A(n)) is constant: Sigma(n) increases, so the ends pin the block.
-The oracle is the only code here that loads numpy.
+The oracle is the only code here that loads numpy, and it refuses a pass
+over more than cap terms (10**8 unless the caller says otherwise).
 """
 
 from __future__ import annotations
@@ -25,19 +26,11 @@ from __future__ import annotations
 import bisect
 import decimal
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _scaled
-from .asymptotic import (
-    DeltaBounds,
-    Enclosure,
-    _check_float_range,
-    _round_up,
-    delta_bounds,
-    eval_A,
-)
+from .asymptotic import Enclosure, _check_float_range, _round_up
 from .exactfloor import _as_index, alpha_floor, floor_A_exact
 
 if TYPE_CHECKING:
@@ -51,12 +44,11 @@ __all__ = [
     "oracle_sum_sqrt",
     "oracle_mean",
     "fast_mean",
-    "mean_decomposition_check",
     "sweep_theorem1",
 ]
 
 _CHUNK = 1 << 20  # fixed partition: reductions are bit-reproducible
-_DEFAULT_CAP = 100_000_000
+_DEFAULT_CAP = 100_000_000  # the most terms one oracle pass touches by default
 
 
 def _check_eps(epsilon: float) -> float:
@@ -66,18 +58,14 @@ def _check_eps(epsilon: float) -> float:
     return epsilon
 
 
-def _oracle_cap(cap: "int | None") -> int:
-    if cap is None:
-        text = os.environ.get("ROOTMEAN_ORACLE_CAP")
-        try:
-            cap = _DEFAULT_CAP if text is None else int(text)
-        except ValueError:
-            raise ValueError(
-                f"ROOTMEAN_ORACLE_CAP must be an integer, got {text!r}"
-            ) from None
+def _check_cap(count: int, cap: int) -> None:
+    """Refuse an oracle pass over more than cap terms before any work.
+    Every caller checks count against 2**53 first, so the message can
+    render both numbers."""
     if cap < 1:
         raise ValueError(f"oracle cap must be >= 1, got {cap}")
-    return cap
+    if count > cap:
+        raise ValueError(f"range of {count} terms exceeds the oracle cap {cap}")
 
 
 def _two_sum(total: float, x: float, comp: float) -> tuple[float, float]:
@@ -161,7 +149,7 @@ def _fold_chunk(
     return total, comp, err
 
 
-def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
+def oracle_sum_sqrt(nu: int, n: int, *, cap: int = _DEFAULT_CAP) -> Enclosure:
     """Ground-truth enclosure of sum_{k=nu}^{n} sqrt(k) by direct summation.
 
     Per fixed chunk: correctly rounded square roots, their exact integer
@@ -175,10 +163,7 @@ def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
     if nu > n:
         raise ValueError(f"need nu <= n, got nu={nu}, n={n}")
     _check_float_range(n)
-    cap = _oracle_cap(cap)
-    count = n - nu + 1
-    if count > cap:
-        raise ValueError(f"range of {count} terms exceeds the oracle cap {cap}")
+    _check_cap(n - nu + 1, cap)
     import numpy as np
 
     total, comp = 0.0, 0.0
@@ -196,7 +181,7 @@ def oracle_sum_sqrt(nu: int, n: int, *, cap: "int | None" = None) -> Enclosure:
     )
 
 
-def oracle_mean(n: int, *, cap: "int | None" = None) -> Enclosure:
+def oracle_mean(n: int, *, cap: int = _DEFAULT_CAP) -> Enclosure:
     """Enclosure of the mean Sigma(n): oracle sum over [1, n] divided by n,
     endpoints rounded outward."""
     n = _as_index(n)
@@ -322,29 +307,8 @@ def fast_mean(n: int, epsilon: float) -> CertifiedMean:
     return result
 
 
-def mean_decomposition_check(
-    n: int, *, cap: "int | None" = None
-) -> tuple[float, DeltaBounds]:
-    """Recover the remainder delta_{1,n} from the mean identity
-    Sigma(n) = A(n) - 1/(6n) - delta_{1,n}/(24 n) using the oracle mean, and
-    return it with its elementary bracket (the caller asserts containment).
-
-    At nu=1 the bracket margins are O(1), about 0.18 at worst over the
-    oracle range, far above both the oracle width and the ~24n ulp(A(n))
-    recovery error, so binary64 decides this safely (unlike general nu ~ n,
-    which needs the scaled-integer path).
-    """
-    n = _as_index(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    mid = oracle_mean(n, cap=cap).midpoint()
-    nf = float(n)
-    delta = 24.0 * nf * (eval_A(nf) - 1.0 / (6.0 * nf) - mid)
-    return delta, delta_bounds(1, n)
-
-
 def _oracle_mean_many(
-    ns, *, cap: "int | None" = None
+    ns, *, cap: int = _DEFAULT_CAP
 ) -> "dict[int, Enclosure]":
     """Oracle mean enclosures at several marks in one prefix pass; the only
     prefix reader (sweep_theorem1 reads through it too).
@@ -366,9 +330,8 @@ def _oracle_mean_many(
     if not marks:
         return {}
     top = marks[-1]
-    cap = _oracle_cap(cap)
-    if top > cap:
-        raise ValueError(f"range of {top} terms exceeds the oracle cap {cap}")
+    _check_float_range(top)
+    _check_cap(top, cap)
     import numpy as np
 
     out: dict[int, Enclosure] = {}
@@ -415,7 +378,7 @@ def _floor_blocks(max_n: int) -> "list[tuple[int, int, int]]":
     return blocks
 
 
-def _oracle_floors(ns, cap: "int | None") -> "dict[int, int]":
+def _oracle_floors(ns, cap: int) -> "dict[int, int]":
     """floor(Sigma(n)) at each n from the oracle enclosure, or, where the
     enclosure straddles an integer, from an exact scaled-integer prefix."""
     floors: dict[int, int] = {}
@@ -445,7 +408,7 @@ def _oracle_floors(ns, cap: "int | None") -> "dict[int, int]":
 
 
 def sweep_theorem1(
-    max_n: int, *, cap: "int | None" = None
+    max_n: int, *, cap: int = _DEFAULT_CAP
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Verify that the exact closed-form floor matches the oracle floor of
     Sigma(n) for every n in [1, max_n].  Returns (checked, mismatches),
@@ -468,10 +431,8 @@ def sweep_theorem1(
     degenerate bounds and fail loudly (more than 64 of them raise).
     """
     max_n = _as_index(max_n, name="max_n")
-    cap = _oracle_cap(cap)
-    if max_n > cap:
-        raise ValueError(f"range of {max_n} terms exceeds the oracle cap {cap}")
     _check_float_range(max_n, "max_n")
+    _check_cap(max_n, cap)
 
     blocks = _floor_blocks(max_n)
     floors = _oracle_floors([n for s, e, _ in blocks for n in (s, e)], cap)

@@ -19,19 +19,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 __all__ = [
-    "Index",
-    "AlphaThreshold",
-    "isqrt",
     "floor_A_exact",
     "floor_via_alpha",
     "alpha_floor",
 ]
-
-# A positive integer count (n, nu, or m); arbitrary precision.
-Index = int
 
 
 def _as_index(n: object, *, minimum: int = 1, name: str = "n") -> int:
@@ -52,16 +45,7 @@ def _as_index(n: object, *, minimum: int = 1, name: str = "n") -> int:
     return n
 
 
-def isqrt(k: int) -> int:
-    """Integer square root: the exact floor(sqrt(k)) for k >= 0.
-
-    The result r always satisfies r*r <= k < (r+1)*(r+1).
-    """
-    k = _as_index(k, minimum=0, name="k")
-    return math.isqrt(k)
-
-
-def floor_A_exact(n: Index) -> int:
+def floor_A_exact(n: int) -> int:
     """floor(A(n)), equivalently the integer part of the mean of the first
     n square roots, as isqrt((4n + 6) // 9): one division by a small
     constant and one integer square root.
@@ -83,7 +67,7 @@ def floor_A_exact(n: Index) -> int:
     return math.isqrt((4 * n + 6) // 9)
 
 
-def floor_via_alpha(n: Index) -> int:
+def floor_via_alpha(n: int) -> int:
     """floor(A(n)) by threshold search: the smallest m >= 1 whose threshold
     alpha(m) = (9/4)(m+1)^2 - 2 admits n, decided in integers as
     4n <= 9(m+1)^2 - 8.
@@ -108,35 +92,9 @@ def alpha_floor(m: int) -> int:
 
     alpha(m) is itself an integer for odd m (alpha(2s-1) = 9 s^2 - 2) and a
     quarter above this floor for even m (alpha(2s) = 9 s^2 + 9 s + 1/4).
+    Since n is an integer, n <= alpha(m) iff n <= alpha_floor(m), so
+    floor(A(n)) == m precisely when alpha_floor(m-1) < n <= alpha_floor(m).
     """
     m = _as_index(m, minimum=0, name="m")
     return (9 * (m + 1) ** 2 - 8) // 4
 
-
-@dataclass(frozen=True)
-class AlphaThreshold:
-    """The step threshold for the exact floor: floor(A(n)) == m precisely
-    when alpha(m-1) < n <= alpha(m).
-
-    Stored times 4 so even m (where alpha is a quarter-integer) stays exact;
-    the comparison n <= alpha(m) is decided as 4n <= alpha_times_4.
-    """
-
-    m: int
-    alpha_times_4: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
-        if self.alpha_times_4 != 9 * (self.m + 1) ** 2 - 8:
-            raise ValueError("alpha_times_4 must equal 9(m+1)^2 - 8")
-
-    @classmethod
-    def of(cls, m: int) -> "AlphaThreshold":
-        m = _as_index(m, minimum=0, name="m")
-        return cls(m, 9 * (m + 1) ** 2 - 8)
-
-    def admits(self, n: Index) -> bool:
-        """Whether n <= alpha(m), exactly."""
-        n = _as_index(n)
-        return 4 * n <= self.alpha_times_4

@@ -22,7 +22,6 @@ from rootmean.asymptotic import (
     lemma2_upper,
     partial_sum_root_enclosure,
     partial_sum_sqrt_enclosure,
-    sigma,
 )
 
 
@@ -87,6 +86,10 @@ class TestEvalA:
 
 
 class TestSigma:
+    """The elementary remainder bound sigma(nu, n) = 3/2 - n^(-1/2) for
+    nu == 1, else (nu-1)^(-1/2) - n^(-1/2), through its exact 2**96-scaled
+    bracket _scaled.sigma_enc and the public delta_bounds."""
+
     @pytest.mark.parametrize(
         "nu,n,expected",
         [
@@ -98,7 +101,11 @@ class TestSigma:
         ],
     )
     def test_frozen_values(self, nu, n, expected):
-        assert sigma(nu, n) == expected
+        # the binary64 values of sigma, frozen before it was bracketed in
+        # integers, lie within 1.5 ulp of both ends of the exact bracket
+        for end in _scaled.sigma_enc(nu, n):
+            gap = abs(Fraction(end, _scaled.ONE) - Fraction(expected))
+            assert gap <= Fraction(3, 2) * Fraction(math.ulp(expected))
 
     @settings(max_examples=120)
     @given(
@@ -108,36 +115,37 @@ class TestSigma:
     def test_shape(self, nu, n):
         # positive whenever nu - 1 < n, weakly decreasing in nu, increasing in n
         assume(nu - 1 < n)
-        value = sigma(nu, n)
-        assert value > 0.0
-        assert sigma(nu + 1, n) <= value
-        assert sigma(nu, 4 * n) >= value
+        lo, hi = _scaled.sigma_enc(nu, n)
+        assert 0 < lo <= hi
+        assert _scaled.sigma_enc(nu + 1, n)[1] <= hi
+        assert _scaled.sigma_enc(nu, 4 * n)[0] >= lo
 
     def test_first_kind_below_three_halves(self):
         for n in (1, 2, 10, 10 ** 6):
-            assert sigma(1, n) < 1.5
+            assert _scaled.sigma_enc(1, n)[1] < 3 * _scaled.ONE // 2
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            sigma(0, 10)
+            _scaled.sigma_enc(0, 10)
         with pytest.raises(TypeError):
-            sigma(1.0, 10)
+            delta_bounds(1.0, 10)
         with pytest.raises(ValueError):
-            sigma(1, 2 ** 53 + 3)  # beyond the floating path even with shift slack
+            delta_bounds(1, 2 ** 53 + 3)  # beyond the floating path
 
 
 class TestDeltaBounds:
     def test_bracket_orientation(self):
         db = delta_bounds(1, 100)
-        # the exact bracket rounded outward, within an ulp of binary64 sigma
+        # the exact bracket rounded outward, within an ulp of the frozen
+        # binary64 values sigma(3, 102) and sigma(1, 100) (TestSigma)
         assert Fraction(db.lower) <= Fraction(_scaled.sigma_enc(3, 102)[0], _scaled.ONE)
         assert Fraction(db.upper) >= Fraction(_scaled.sigma_enc(1, 100)[1], _scaled.ONE)
-        assert abs(db.lower - sigma(3, 102)) <= math.ulp(db.lower)
-        assert abs(db.upper - sigma(1, 100)) <= math.ulp(db.upper)
+        assert abs(db.lower - 0.60809202688888) <= math.ulp(db.lower)
+        assert abs(db.upper - 1.4) <= math.ulp(db.upper)
         assert 0.0 <= db.lower < db.upper
 
     def test_exact_bracket_near_large_n(self):
-        # binary64 sigma inverted these endpoints and the call raised
+        # a binary64 sigma inverted these endpoints and the call raised
         db = delta_bounds(1402108738158901, 1472838348251068)
         assert 0.0 < db.lower <= db.upper
 
@@ -247,7 +255,7 @@ class TestPartialSumSqrt:
         # outward rounding margins
         nu, n = 100, 10 ** 7
         e = partial_sum_sqrt_enclosure(nu, n)
-        span = sigma(nu, n) - sigma(nu + 2, n + 2)
+        span = (_scaled.sigma_enc(nu, n)[1] - _scaled.sigma_enc(nu + 2, n + 2)[0]) / _scaled.ONE
         margin = 2.0 * math.ulp(abs(e.hi))
         assert e.width() <= span / 24.0 * (1.0 + 2.0 ** -40) + margin
         assert e.width() >= span / 24.0 * (1.0 - 2.0 ** -40)

@@ -7,12 +7,16 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootmean import cli
 from rootmean.evaluator import fast_mean, oracle_mean
-from rootmean.exactfloor import floor_A_exact
+from rootmean.exactfloor import alpha_floor, floor_A_exact
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +258,88 @@ class TestVerify:
         )
         assert code == 2 and "10**6" in err
 
+    @pytest.mark.parametrize(
+        "max_n", [10 ** 16, 10 ** 20, 10 ** 1000], ids=["10**16", "10**20", "10**1000"]
+    )
+    def test_lemma2_exact_far_past_binary64(self, capsys, max_n):
+        # a binary64 check of these envelopes reported 155 and 932 false
+        # counterexamples at 10**16 and 10**20: A(x) and the lower envelope
+        # agree there to within an ulp
+        code, out, err = run_cli(capsys, "verify", "--max-n", str(max_n), "--mode", "lemma2")
+        assert code == 0, err
+        rec = parse_text_record(out)
+        assert rec["failures"] == "0"
+        passed, checked = rec["value"].split("/")
+        assert passed == checked and int(checked) > 3900
+
+    def test_lemma2_mode_is_bounded(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--max-n", str(10 ** 1000 + 1), "--mode", "lemma2"
+        )
+        assert code == 2 and out == "" and "10**1000" in err
+
+    def test_lemma2_grid_is_exact_and_in_range(self):
+        for max_n in (2, 5, 6, 10 ** 5, 10 ** 400):
+            grid = cli._lemma2_grid(max_n)
+            values = [Fraction(p, q) for p, q in grid]
+            assert values == sorted(set(values))
+            assert values[0] == 2 and values[-1] == max_n
+            assert (6 in values) == (max_n >= 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10 ** 30),
+        st.integers(min_value=1, max_value=10 ** 6),
+    )
+    def test_envelope_predicates_match_mpmath(self, p, q):
+        # each integer predicate decides its claim at x = p/q itself, true
+        # or false: the claims fail below x = 1.22688 (upper) and x =
+        # 5.73101 (lower), which the draws reach
+        with mp.workdps(200):
+            x = mp.mpf(p) / q
+            a = 2 * mp.sqrt(x + 1) * (1 + 1 / (4 * x)) / 3
+            upper = a - 2 * mp.sqrt(x + 2) / 3
+            lower = a - 2 * mp.sqrt(x + mp.mpf(5) / 4) / 3 - 1 / (4 * x)
+        assert cli._under_upper_envelope(p, q) == (upper < 0)
+        assert cli._over_lower_envelope(p, q) == (lower > 0)
+
+    @pytest.mark.parametrize(
+        "x,upper,lower",
+        [
+            (Fraction(12268, 10000), False, False),
+            (Fraction(12269, 10000), True, False),
+            (Fraction(5), True, False),
+            (Fraction(5731, 1000), True, False),
+            (Fraction(5732, 1000), True, True),
+            (Fraction(6), True, True),
+        ],
+    )
+    def test_envelope_predicates_at_their_roots(self, x, upper, lower):
+        # the upper claim holds from (9 + sqrt(113))/16 = 1.22688 on, the
+        # lower one from the root 5.73101 of 256x^4 - 1152x^3 - 1744x^2 -
+        # 360x + 25, the difference of the two sides of its last squaring
+        assert cli._under_upper_envelope(x.numerator, x.denominator) == upper
+        assert cli._over_lower_envelope(x.numerator, x.denominator) == lower
+
+    def test_step_predicates_match_mpmath_dense(self):
+        # every n up to 3000 against the integers around A(n)
+        with mp.workdps(60):
+            for n in range(1, 3001):
+                a = 2 * mp.sqrt(n + 1) * (1 + mp.mpf(1) / (4 * n)) / 3
+                for s in range(max(1, int(a) - 1), int(a) + 3):
+                    assert cli._below_step(n, s) == (a < s), (n, s)
+                    assert cli._over_step(n, s) == (a - mp.mpf(1) / (4 * n) > s), (n, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10 ** 40), st.integers(min_value=-3, max_value=3))
+    def test_step_predicates_match_mpmath(self, m, shift):
+        # near and at each threshold n = alpha_floor(m), both truth values
+        n = max(1, alpha_floor(m) + shift)
+        with mp.workdps(200):
+            a = 2 * mp.sqrt(n + 1) * (1 + mp.mpf(1) / (4 * n)) / 3
+            assert cli._below_step(n, m + 1) == (a < m + 1)
+            assert cli._over_step(n, m + 1) == (a - mp.mpf(1) / (4 * n) > m + 1)
+
     def test_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "--max-n", "10", "--mode", "nosuch")
@@ -279,6 +365,33 @@ class TestBench:
         assert float(row["error_bound"]) <= 1e-9
 
 
+class TestHugeInputs:
+    """Refusals of inputs past Python's 4300-digit int/str limit give their
+    real reason, not the conversion limit's."""
+
+    HUGE = "7" * 5000
+
+    def test_sum(self, capsys):
+        code, out, err = run_cli(capsys, "sum", "--from", "1", "--to", self.HUGE, "--root", "2")
+        assert code == 2 and out == ""
+        assert "2**53" in err and "4300" not in err
+
+    def test_bench(self, capsys):
+        code, out, err = run_cli(capsys, "bench", self.HUGE)
+        assert code == 2 and out == ""
+        assert "2**53" in err and "4300" not in err
+
+    def test_verify_theorem1(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--mode", "theorem1", "--max-n", self.HUGE)
+        assert code == 2 and out == ""
+        assert "2**53" in err and "4300" not in err
+
+    def test_sum_reversed_range(self, capsys):
+        code, out, err = run_cli(capsys, "sum", "--from", self.HUGE, "--to", "5")
+        assert code == 2 and out == ""
+        assert "--from < --to" in err and "4300" not in err
+
+
 class TestOracleCap:
     def test_flag_caps_the_oracle(self, capsys):
         code, _, err = run_cli(
@@ -286,24 +399,16 @@ class TestOracleCap:
         )
         assert code == 2 and "cap" in err
 
-    def test_env_caps_the_oracle(self, capsys, monkeypatch):
-        monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "10")
-        code, _, err = run_cli(capsys, "bench", "100000", "--eps", "1e-12")
-        assert code == 2 and "cap" in err
-
-    def test_malformed_env_is_named(self, capsys, monkeypatch):
-        monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "lots")
-        code, _, err = run_cli(capsys, "bench", "100", "--eps", "1e-9")
-        assert code == 2 and "ROOTMEAN_ORACLE_CAP" in err
-
     def test_flag_overrides_env(self, capsys, monkeypatch):
+        # the flag is the one way to set the cap: the environment no longer
+        # reaches it, so a cap of 10 there changes nothing
         monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "10")
-        code, out, _ = run_cli(
-            capsys, "bench", "100000", "--eps", "1e-12", "--oracle-cap", "100000000",
-            "--format", "json",
-        )
-        assert code == 0
-        assert float(json.loads(out)["rows"][0]["error_bound"]) <= 1e-12
+        for extra in ([], ["--oracle-cap", "100000000"]):
+            code, out, _ = run_cli(
+                capsys, "bench", "100000", "--eps", "1e-12", "--format", "json", *extra
+            )
+            assert code == 0
+            assert float(json.loads(out)["rows"][0]["error_bound"]) <= 1e-12
 
     def test_mean_takes_no_oracle_cap(self, capsys):
         # fast_mean never reaches the oracle, so mean has no cap to set

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootmean.exactfloor import (
-    AlphaThreshold,
-    Index,
-    alpha_floor,
-    floor_A_exact,
-    floor_via_alpha,
-    isqrt,
-)
+from rootmean.exactfloor import alpha_floor, floor_A_exact, floor_via_alpha
 
 
 def brute_floor_mean(n: int) -> int:
@@ -37,29 +30,6 @@ def squared_radicand_floor(n: int) -> int:
     the floor is isqrt of the floored radicand (4n+1)^2 (n+1) // (36 n^2),
     computed from the unreduced cubic-size numerator."""
     return math.isqrt((4 * n + 1) ** 2 * (n + 1) // (36 * n * n))
-
-
-def test_index_alias_is_int():
-    assert Index is int
-
-
-class TestIsqrt:
-    @given(st.integers(min_value=0, max_value=10 ** 40))
-    def test_floor_sqrt_bracket(self, k):
-        r = isqrt(k)
-        assert r * r <= k < (r + 1) * (r + 1)
-
-    @pytest.mark.parametrize("k,expected", [(0, 0), (1, 1), (3, 1), (4, 2), (99, 9)])
-    def test_small_values(self, k, expected):
-        assert isqrt(k) == expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            isqrt(-1)
-
-    def test_rejects_float(self):
-        with pytest.raises(TypeError):
-            isqrt(4.0)
 
 
 class TestFloorAExact:
@@ -164,25 +134,31 @@ class TestAlphaFloor:
 
 
 class TestAlphaThreshold:
+    """The step threshold alpha(m) = (9/4)(m+1)^2 - 2, kept as 4 alpha(m) =
+    9(m+1)^2 - 8 so that even m (a quarter-integer alpha) stays exact:
+    floor(A(n)) == m precisely when alpha_floor(m-1) < n <= alpha_floor(m)."""
+
     @given(st.integers(min_value=0, max_value=10 ** 9))
     def test_of_constructs_consistently(self, m):
-        at = AlphaThreshold.of(m)
-        assert at.m == m
-        assert at.alpha_times_4 == 9 * (m + 1) ** 2 - 8
-        assert at.alpha_times_4 // 4 == alpha_floor(m)
+        four_alpha = 9 * (m + 1) ** 2 - 8
+        assert 4 * alpha_floor(m) <= four_alpha < 4 * alpha_floor(m) + 4
+        assert four_alpha // 4 == alpha_floor(m)
 
     @settings(max_examples=200)
     @given(st.integers(min_value=1, max_value=10 ** 9))
     def test_admits_is_the_floor_step(self, m):
-        at = AlphaThreshold.of(m)
+        # n <= alpha(m), decided as 4n <= 9(m+1)^2 - 8, is n <= alpha_floor(m)
         n = alpha_floor(m)
-        assert at.admits(n)
-        assert not at.admits(n + 1)
+        for k in (n - 1, n, n + 1, n + 2):
+            admits = 4 * k <= 9 * (m + 1) ** 2 - 8
+            assert admits == (k <= alpha_floor(m)) == (floor_A_exact(k) <= m)
+        assert n <= alpha_floor(m)
+        assert not n + 1 <= alpha_floor(m)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AlphaThreshold(1, 5)  # wrong precomputed threshold
-        with pytest.raises(ValueError):
-            AlphaThreshold(-1, 1)
+            alpha_floor(-1)
         with pytest.raises(TypeError):
-            AlphaThreshold.of(1.5)
+            alpha_floor(1.5)
+        with pytest.raises(TypeError):
+            alpha_floor(True)

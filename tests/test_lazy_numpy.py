@@ -1,6 +1,7 @@
-"""numpy is loaded only by the oracle, the sweep and verify: importing the
-package, exact floors, the partial-sum enclosures and every certified mean
-(fast_mean and `rootmean mean`) never load it."""
+"""numpy is loaded only by the oracle and the sweep: importing the package,
+exact floors, the partial-sum enclosures, every certified mean (fast_mean
+and `rootmean mean`) and the exact verify modes (delta, lemma2, lemma3)
+never load it."""
 
 import os
 import subprocess
@@ -29,6 +30,8 @@ for epsilon in (1e-9, 1e-12):
     cert = fast_mean(10 ** 6, epsilon)
     assert cert.method == "euler-maclaurin" and cert.error_bound <= epsilon
 assert rootmean.cli.main(["mean", "10000000"]) == 0
+for mode, max_n in (("delta", 1000), ("lemma2", 10 ** 20), ("lemma3", 1000)):
+    assert rootmean.cli.main(["verify", "--mode", mode, "--max-n", str(max_n)]) == 0
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
 assert not loaded, loaded
 
