@@ -68,21 +68,24 @@ def _check_float_range(n: int, name: str = "n") -> int:
 
 
 def _real_arg(x: object, minimum: float, name: str) -> float:
-    """Accept a float, or an integer that converts to binary64 exactly."""
+    """Accept a float, or an integer that converts to binary64 exactly.  An
+    integer meets the domain check before it converts, so one far below the
+    minimum is refused for its sign, not its size."""
     if isinstance(x, bool):
         raise TypeError(f"{name} must be a number, got bool")
     if not isinstance(x, float):
         try:
-            xi = operator.index(x)  # type: ignore[arg-type]
+            x = operator.index(x)  # type: ignore[arg-type]
         except TypeError:
             raise TypeError(
                 f"{name} must be a float or exact integer, got {type(x).__name__}"
             ) from None
-        x = float(_check_float_range(xi, name))
+        if x >= minimum:
+            x = float(_check_float_range(x, name))
+    if x < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
-    if x < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {x!r}")
     return x
 
 
@@ -138,12 +141,13 @@ class DeltaBounds:
 @dataclass(frozen=True)
 class RootOrder:
     """Root index r >= 1: terms are k^(1/r).  r=2 is the square root, r=1 the
-    exact arithmetic series; non-integer r >= 1 is accepted."""
+    exact arithmetic series; non-integer r >= 1 is accepted, and bool and
+    strings are refused."""
 
     r: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.r, (str, bytes)):
+        if isinstance(self.r, (str, bytes, bool)):
             raise TypeError(f"r must be a real number, got {self.r!r}")
         try:
             r = float(self.r)
@@ -171,7 +175,7 @@ def delta_bounds(nu: int, n: int) -> DeltaBounds:
     nu = _as_index(nu, name="nu")
     n = _check_float_range(_as_index(n))
     if nu >= n:
-        raise ValueError(f"need nu < n, got nu={nu}, n={n}")
+        raise ValueError("need nu < n")
     enc = _outward(
         _scaled.sigma_enc(nu + 2, n + 2)[0], _scaled.sigma_enc(nu, n)[1], _scaled.ONE
     )
@@ -201,7 +205,7 @@ def partial_sum_sqrt_enclosure(nu: int, n: int) -> Enclosure:
     nu = _as_index(nu, name="nu")
     n = _check_float_range(_as_index(n))
     if nu >= n:
-        raise ValueError(f"need nu < n, got nu={nu}, n={n}")
+        raise ValueError("need nu < n")
     a_lo, a_hi = _scaled.nA_enc(n)
     h_lo, h_hi = _scaled.head_enc(nu)
     s_hi = _scaled.sigma_enc(nu, n)[1]
@@ -260,11 +264,11 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
     the r-th-root main term minus the sigma_r/(12 r) bracket, widened outward
     including the exp/log evaluation budget.
     """
-    order = r if isinstance(r, RootOrder) else RootOrder(float(r))
+    order = r if isinstance(r, RootOrder) else RootOrder(r)
     nu = _as_index(nu, name="nu")
     n = _as_index(n)
     if nu >= n:
-        raise ValueError(f"need nu < n, got nu={nu}, n={n}")
+        raise ValueError("need nu < n")
     rv = order.r
     if rv == 1.0:
         # exact integer series: no floating evaluation, so no width limit

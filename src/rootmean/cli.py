@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 verification found a counterexample, 2 usage or
 domain error.  Identical inputs produce bit-identical records except for
 the elapsed_ms field.
 
-verify --mode delta, lemma2 and lemma3 decide every check by an exact
-integer comparison, so exit code 1 means a real counterexample; only
---mode theorem1 reads the binary64 oracle, under its rigorous bound.
+Every verify mode decides its checks by exact integer comparisons, so exit
+code 1 means a real counterexample: delta, lemma2 and lemma3 in closed
+form, and theorem1 from the oracle's integer bracket of the sum of
+numpy's correctly rounded square roots.
 """
 
 from __future__ import annotations

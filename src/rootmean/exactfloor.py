@@ -41,7 +41,7 @@ def _as_index(n: object, *, minimum: int = 1, name: str = "n") -> int:
                 f"{name} must be an exact integer, got {type(n).__name__}"
             ) from None
     if n < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+        raise ValueError(f"{name} must be >= {minimum}")  # n may be too long to render
     return n
 
 

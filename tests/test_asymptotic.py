@@ -84,6 +84,13 @@ class TestEvalA:
         # a float argument carries its own exactness; it stays accepted
         assert math.isfinite(eval_A(1e20))
 
+    def test_huge_negative_int_is_out_of_domain(self):
+        # -10**400 has no binary64 value: the domain is checked on the exact
+        # integer first, so this is the domain's ValueError, not an overflow
+        for fn in (eval_A, lemma2_upper, lemma2_lower):
+            with pytest.raises(ValueError, match="x must be >="):
+                fn(-10 ** 400)
+
 
 class TestSigma:
     """The elementary remainder bound sigma(nu, n) = 3/2 - n^(-1/2) for
@@ -218,6 +225,14 @@ class TestRootOrder:
         with pytest.raises(TypeError):
             RootOrder("2")
 
+    def test_rejects_bool(self):
+        # True is an int only by accident: it must not pass as r = 1
+        for bad in (True, False):
+            with pytest.raises(TypeError):
+                RootOrder(bad)
+        with pytest.raises(TypeError):
+            partial_sum_root_enclosure(1, 10, True)
+
 
 class TestPartialSumSqrt:
     def test_contains_small_truth(self):
@@ -351,6 +366,12 @@ class TestPartialSumRoot:
             partial_sum_root_enclosure(10, 10, 2.0)
         with pytest.raises(ValueError):
             partial_sum_root_enclosure(1, 2 ** 53 + 2, 3.0)
+
+    def test_huge_empty_range_gives_its_reason(self):
+        # 10**5000 is past the 4300-digit int/str limit, so a message that
+        # rendered it would raise Python's limit error instead
+        with pytest.raises(ValueError, match="need nu < n"):
+            partial_sum_root_enclosure(10 ** 5000, 10 ** 5000, 1)
 
 
 class TestLemma2:

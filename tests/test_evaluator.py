@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootmean import _scaled, evaluator
-from rootmean.asymptotic import Enclosure, delta_bounds, partial_sum_sqrt_enclosure
+from rootmean.asymptotic import delta_bounds, partial_sum_sqrt_enclosure
 from rootmean.evaluator import (
     _CHUNK,
     _certify,
+    _chunk_sums,
     _floor_blocks,
-    _fold_chunk,
+    _oracle_brackets,
     _oracle_mean_many,
-    _spacing_sums,
     fast_mean,
     oracle_mean,
     oracle_sum_sqrt,
@@ -42,17 +42,35 @@ def mp_dps(n: int) -> int:
     return 60 + len(str(n))
 
 
+@functools.lru_cache(maxsize=1)
+def _mp_prefix() -> "list[mp.mpf]":
+    """sum_{k=1}^{j} sqrt(k) for every j <= 3000, summed directly at 70
+    digits, which keeps more than 60 after the point."""
+    with mp.workdps(70):
+        out = [mp.mpf(0)]
+        for k in range(1, 3001):
+            out.append(out[-1] + mp.sqrt(k))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_zeta(dps: int) -> mp.mpf:
+    with mp.workdps(dps):
+        return mp.zeta(-0.5)
+
+
+@functools.lru_cache(maxsize=None)
 def mp_mean(n: int) -> mp.mpf:
     """Sigma(n) to 60 digits after the point: summed directly up to 3000,
     else zeta(-1/2) plus twelve Euler-Maclaurin terms of sum sqrt(k) at n,
     all in mpmath (the first omitted term is below 1e-80 for n > 3000)."""
     if n <= 3000:
         with mp.workdps(60):
-            return mp_sqrt_sum(1, n) / n
+            return _mp_prefix()[n] / n
     with mp.workdps(mp_dps(n)):
         x = mp.mpf(n)
         root = mp.sqrt(x)
-        total = mp.zeta(-0.5) + 2 * x * root / 3 + root / 2
+        total = _mp_zeta(mp_dps(n)) + 2 * x * root / 3 + root / 2
         fall = mp.mpf(1) / 2  # (1/2)(-1/2)...(1/2-2j+2)
         for j in range(1, 13):
             total += mp.bernoulli(2 * j) / mp.factorial(2 * j) * fall * root / x ** (2 * j - 1)
@@ -76,7 +94,7 @@ def calls(monkeypatch):
         raise AssertionError("fast_mean reached a summation")
 
     monkeypatch.setattr(_scaled, "partial_sum_enc", bracket)
-    for name in ("oracle_sum_sqrt", "oracle_mean", "_oracle_mean_many"):
+    for name in ("oracle_sum_sqrt", "oracle_mean", "_oracle_mean_many", "_oracle_brackets"):
         monkeypatch.setattr(evaluator, name, summation)
     for name in ("sqrt_prefix", "sum_sqrt_enc"):
         monkeypatch.setattr(_scaled, name, summation)
@@ -578,36 +596,42 @@ class TestSweep:
         block = list(range(start, end + 1))
         bad = block[first : last + 1 or None]
 
-        def shifted(ns, *, cap=evaluator._DEFAULT_CAP, real=evaluator._oracle_mean_many):
-            out = real(ns, cap=cap)
+        def shifted(nu, ns, cap, real=evaluator._oracle_brackets):
+            out = real(nu, ns, cap)
             for n in bad:
                 if n in out:
-                    out[n] = Enclosure(out[n].lo + 1.0, out[n].hi + 1.0)
+                    lo, hi = out[n]
+                    out[n] = (lo + (n << 54), hi + (n << 54))
             return out
 
-        monkeypatch.setattr(evaluator, "_oracle_mean_many", shifted)
+        monkeypatch.setattr(evaluator, "_oracle_brackets", shifted)
         flagged = []
         for n in range(start, end + 1):
-            enc = shifted([n])[n]
-            if math.floor(enc.lo) == math.floor(enc.hi) != m:
-                flagged.append((n, m, math.floor(enc.lo)))
+            lo, hi = shifted(1, [n], evaluator._DEFAULT_CAP)[n]
+            if lo // (n << 54) == hi // (n << 54) != m:
+                flagged.append((n, m, lo // (n << 54)))
         assert [n for n, _, _ in flagged] == bad
         assert sweep_theorem1(10 ** 4) == (10 ** 4, flagged)
 
 
 def _reference_fold(roots, spacing, total, comp, err):
-    """The chunk fold before the exact integer sum: math.fsum readout."""
+    """The float chunk fold the integer brackets replaced: a math.fsum
+    readout, then a compensated carry whose rounding residual is exact."""
     chunk = math.fsum(roots)
     err += 0.5 * spacing * (1.0 + 2.0 ** -40)
     err += 0.5 * math.ulp(chunk)
-    total, comp = evaluator._two_sum(total, chunk, comp)
+    t = total + chunk
+    if abs(total) >= abs(chunk):
+        comp += (total - t) + chunk
+    else:
+        comp += (chunk - t) + total
     err += 0.5 * math.ulp(comp)
-    return total, comp, err
+    return t, comp, err
 
 
 def _reference_mean_chunks(max_n):
-    """The per-element prefix pass the mark reader replaced, kept as the
-    slow reference: means and rounding bounds at every n of every chunk."""
+    """The per-element float prefix pass, kept as the slow reference: means
+    and rigorous rounding bounds at every n of every chunk."""
     carry_s, carry_c = 0.0, 0.0
     base_err = 0.0
     for a in range(1, max_n + 1, _CHUNK):
@@ -659,15 +683,28 @@ def reference_means():
     return _reference_mean_many(marks)
 
 
+def _exact_sum_is(roots, total):
+    """Whether the roots sum exactly to total / 2**54: math.fsum rounds the
+    exact sum once, so it returns 0.0 only when the sum is exactly 0."""
+    parts = [
+        -math.ldexp((total >> s) & (2 ** 50 - 1), s - 54)
+        for s in range(0, total.bit_length(), 50)
+    ]
+    return math.fsum(roots.tolist() + parts) == 0.0
+
+
 class TestExactChunkSum:
     @pytest.mark.parametrize(
         "start", [1, 2, 3, 4, _CHUNK + 1, 10 ** 8 - _CHUNK + 1, 2 ** 52]
     )
     def test_matches_fsum_fold(self, start):
-        roots = np.sqrt(np.arange(start, start + _CHUNK, dtype=np.float64))
-        spacing = float(np.spacing(roots).sum())
-        for carry in [(0.0, 0.0, 0.0), (6.5e8, -3.0e-8, 1.0e-6)]:
-            assert _fold_chunk(roots, *carry) == _reference_fold(roots, spacing, *carry)
+        # the bracket's midpoint is the exact sum of the rounded roots, and
+        # rounds to their correctly rounded sum
+        end = start + _CHUNK - 1
+        roots = np.sqrt(np.arange(start, end + 1, dtype=np.float64))
+        lo, hi = _oracle_brackets(start, [end], _CHUNK)[end]
+        assert (lo + hi) % 2 == 0 and _exact_sum_is(roots, (lo + hi) // 2)
+        assert (lo + hi) / (2 << 54) == math.fsum(roots)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -675,32 +712,37 @@ class TestExactChunkSum:
         st.integers(min_value=1, max_value=5000),
     )
     def test_matches_fsum_anywhere(self, start, count):
-        roots = np.sqrt(np.arange(start, start + count, dtype=np.float64))
-        spacing = float(np.spacing(roots).sum())
-        assert _fold_chunk(roots, 0.0, 0.0, 0.0) == _reference_fold(
-            roots, spacing, 0.0, 0.0, 0.0
-        )
+        end = start + count - 1
+        roots = np.sqrt(np.arange(start, end + 1, dtype=np.float64))
+        lo, hi = _oracle_brackets(start, [end], _CHUNK)[end]
+        assert Fraction(lo + hi, 2 << 54) == sum(map(Fraction, roots.tolist()))
+        assert (lo + hi) / (2 << 54) == math.fsum(roots)
 
     def test_int64_guard_refuses_instead_of_wrapping(self):
         # 1024 * 2**52 = 2**62 fits in int64 and sums exactly; 2048 scales
         # to 2**63 and would wrap, so it is refused, as is an overlong chunk
-        edge = np.array([1.0, 1024.0])
-        assert _fold_chunk(edge, 0.0, 0.0, 0.0)[0] == 1025.0
+        starts = np.array([0])
+        assert _chunk_sums(np.array([1.0, 1024.0]), starts)[0] == [1025 << 54]
         for roots in (np.array([1.0, 2048.0]), np.array([1.0, 2.0 ** 20])):
             with pytest.raises(ValueError, match="int64"):
-                _fold_chunk(roots, 0.0, 0.0, 0.0)
+                _chunk_sums(roots, starts)
         with pytest.raises(ValueError, match="int64"):
-            _fold_chunk(np.ones(_CHUNK + 1), 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="exact"):
-            _spacing_sums(np.array([1.0, 2.0 ** 60]), [1])
+            _chunk_sums(np.ones(_CHUNK + 1), starts)
 
     @pytest.mark.parametrize("start", [1, _CHUNK + 1])
     def test_spacing_sums_match_cumsum(self, start):
-        roots = np.sqrt(np.arange(start, start + _CHUNK, dtype=np.float64))
-        idx = np.unique(np.concatenate([np.arange(0, _CHUNK, 997), [1, 2, 3, _CHUNK - 1]]))
-        for values in (roots, np.cumsum(roots)):
-            want = np.cumsum(np.spacing(values))[idx]
-            assert np.array_equal(_spacing_sums(values, idx), want)
+        # each mark is charged at least half a spacing per rounded root,
+        # across a chunk boundary too
+        count = _CHUNK + _CHUNK // 2
+        roots = np.sqrt(np.arange(start, start + count, dtype=np.float64))
+        idx = np.unique(
+            np.concatenate([np.arange(0, count, 997), [1, 2, 3, _CHUNK - 1, _CHUNK, count - 1]])
+        )
+        brackets = _oracle_brackets(start, (start + idx).tolist(), count)
+        spacings = np.cumsum(np.spacing(roots))[idx]
+        for i, spacing in zip(idx.tolist(), spacings.tolist()):
+            lo, hi = brackets[start + i]
+            assert Fraction(hi - lo, 2 << 54) >= Fraction(spacing) / 2
 
 
 class TestOracleMeanMany:
@@ -726,16 +768,34 @@ class TestOracleMeanMany:
     def test_empty(self):
         assert _oracle_mean_many([]) == {}
 
+    @staticmethod
+    def assert_nested_and_true(many, reference_means):
+        # each enclosure holds the truth and lies inside the float reference
+        for n, enc in many.items():
+            ref_lo, ref_hi = reference_means[n]
+            assert ref_lo <= enc.lo <= enc.hi <= ref_hi, n
+            with mp.workdps(mp_dps(n)):
+                assert mp.mpf(enc.lo) <= mp_mean(n) <= mp.mpf(enc.hi), n
+
     @pytest.mark.parametrize("max_n", _SWEEP_SIZES)
     def test_bit_identical_to_per_element_reference(self, max_n, reference_means):
         marks = _block_ends(max_n)
         many = _oracle_mean_many(marks)
-        assert {n: (e.lo, e.hi) for n, e in many.items()} == {
-            n: reference_means[n] for n in marks
-        }
+        assert sorted(many) == marks
+        self.assert_nested_and_true(many, reference_means)
 
     def test_bit_identical_at_chunk_crossings(self, reference_means):
         many = _oracle_mean_many(_CROSSING)
-        assert {n: (e.lo, e.hi) for n, e in many.items()} == {
-            n: reference_means[n] for n in _CROSSING
-        }
+        assert sorted(many) == _CROSSING
+        self.assert_nested_and_true(many, reference_means)
+
+
+def test_oracle_bracket_overlaps_euler_maclaurin_bracket():
+    # two independent routes to sum_{k=1}^{n} sqrt(k): direct summation of
+    # rounded roots and the zeta(-1/2) + Euler-Maclaurin closure, compared
+    # at 2**96 scale at every block end up to 2**17
+    marks = _block_ends(2 ** 17)
+    scale = 1 << (_scaled.BITS - 54)
+    for n, (lo, hi) in _oracle_brackets(1, marks, _CHUNK).items():
+        em_lo, em_hi = _scaled.partial_sum_enc(n)
+        assert lo * scale <= em_hi and em_lo <= hi * scale, n

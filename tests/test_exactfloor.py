@@ -67,6 +67,14 @@ class TestFloorAExact:
         with pytest.raises(ValueError):
             floor_A_exact(0)
 
+    def test_huge_negative_refusal_gives_its_reason(self):
+        # -10**5000 is past the 4300-digit int/str limit, so a message that
+        # rendered it would raise Python's limit error instead
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            floor_A_exact(-10 ** 5000)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            alpha_floor(-10 ** 5000)
+
 
 class TestFloorThresholds:
     """floor_A_exact reads floor(A(n)^2) as (4n + 6) // 9; the dropped
