@@ -47,7 +47,12 @@ __all__ = [
     "sweep_theorem1",
 ]
 
-_CHUNK = 1 << 20  # fixed partition: reductions are bit-reproducible
+# Roots per oracle chunk.  The sums are exact integers, so the partition
+# changes no midpoint: it sets the working set, four float64/int64 arrays
+# of _CHUNK made once per pass (1 MiB, inside a 2 MiB L2), and where the
+# charges are read.  Of 2**12..2**20, 2**15-2**17 ran the sweep pool
+# fastest on 2 cores; 2**15 holds the least.
+_CHUNK = 1 << 15
 _DEFAULT_CAP = 100_000_000  # the most terms one oracle pass touches by default
 _ORACLE_ONE = 1 << 54  # oracle unit 2**-54: half a spacing of a root >= 1 is whole
 
@@ -69,13 +74,16 @@ def _check_cap(count: int, cap: int) -> None:
         raise ValueError(f"range of {count} terms exceeds the oracle cap {cap}")
 
 
-def _chunk_sums(roots: np.ndarray, starts: np.ndarray) -> tuple[list[int], list[int]]:
+def _chunk_sums(
+    roots: np.ndarray, starts: np.ndarray, work: np.ndarray
+) -> tuple[list[int], list[int]]:
     """Exact sums, in units of 2**-54, of the segments of one chunk of at
     most _CHUNK correctly rounded positive roots in ascending order, and
     each segment's rounding charge.  Segment i runs from starts[i] up to
     the next start (the last to the chunk's end); the starts begin at 0
     and must strictly increase, since np.add.reduceat returns the element
-    itself, not 0, where two starts are equal.
+    itself, not 0, where two starts are equal.  work is int64 working
+    space of shape (2, >= len(roots)), overwritten.
 
     A root r in [2**(e-1), 2**e) (frexp exponent e) is within half a
     spacing, 2**(e-54), of the true square root, and that is 2**e units.
@@ -83,23 +91,26 @@ def _chunk_sums(roots: np.ndarray, starts: np.ndarray) -> tuple[list[int], list[
 
     Every root is at least 2**(e0-1), e0 the exponent of the first, so
     every root is an integer multiple of 2**(e0-53) and ldexp(roots,
-    53 - e0) holds integers, exactly.  With e1 - e0 <= 10 (checked; for
-    consecutive integers in a chunk of 2**20, max/min <= 2**10 since
-    rounding commutes with scaling by 2**10) each is below 2**63, so the
-    int64 conversion is exact.  Split into 31-bit halves, each below
-    2**32, at most 2**20 terms sum below 2**52 per half in int64, so
-    neither segment sum wraps.  A unit of 2**(e0-53) is 2**(e0+1) units
-    of 2**-54, an integer since e0 >= 1 for roots >= 1/2."""
+    53 - e0) holds integers, exactly, each below 2**(53 + e1 - e0).  The
+    guard refuses e1 - e0 > 10 and more than _CHUNK roots, so each is
+    below 2**63 and the int64 conversion is exact.  Split into 31-bit
+    halves, each below 2**32, the _CHUNK = 2**15 terms sum below 2**47
+    per half in int64, 2**16 below the limit: neither segment sum wraps
+    while _CHUNK <= 2**31.  The guard never refuses an
+    oracle chunk while _CHUNK = 2**c <= 2**20: its consecutive integers
+    a..b with a >= 1 have b <= 2**c a, so sqrt(b) <= 2**ceil(c/2) sqrt(a),
+    and rounding is monotone and commutes with that scaling, so e1 - e0
+    <= ceil(c/2), 8 here.  A unit of 2**(e0-53) is 2**(e0+1) units of
+    2**-54, an integer since e0 >= 1 for roots >= 1/2."""
     import numpy as np
 
     e0 = math.frexp(float(roots[0]))[1]
     e1 = math.frexp(float(roots[-1]))[1]
     if len(roots) > _CHUNK or e1 - e0 > 10:
         raise ValueError("chunk too wide for an exact int64 sum")
-    ints = np.multiply(
-        roots, 2.0 ** (53 - e0), out=np.empty(len(roots), np.int64), casting="unsafe"
-    )
-    low = np.add.reduceat(np.bitwise_and(ints, 0x7FFFFFFF), starts).tolist()
+    ints, halves = work[0, : len(roots)], work[1, : len(roots)]
+    np.multiply(roots, 2.0 ** (53 - e0), out=ints, casting="unsafe")
+    low = np.add.reduceat(np.bitwise_and(ints, 0x7FFFFFFF, out=halves), starts).tolist()
     high = np.add.reduceat(np.right_shift(ints, 31, out=ints), starts).tolist()
     counts = np.diff(starts, append=len(roots))
     charges = np.left_shift(counts, np.frexp(roots[starts + counts - 1])[1]).tolist()
@@ -115,7 +126,9 @@ def _oracle_brackets(nu: int, marks, cap: int) -> "dict[int, tuple[int, int]]":
     both accumulated in Python ints.  The bracket's midpoint is the exact
     sum of the rounded roots and its half-width the charges up to m; the
     marks are de-duplicated and sorted first, so the segment starts
-    strictly increase.  The one summation reader of the oracle."""
+    strictly increase.  The chunk's arrays are made once and reused, so
+    the pass stays in cache, and a + ramp is exact since top < 2**53.
+    The one summation reader of the oracle."""
     marks = sorted({_as_index(m) for m in marks})
     if not marks:
         return {}
@@ -128,13 +141,17 @@ def _oracle_brackets(nu: int, marks, cap: int) -> "dict[int, tuple[int, int]]":
 
     out: dict[int, tuple[int, int]] = {}
     total = charge = 0
+    size = min(_CHUNK, top - nu + 1)
+    ramp = np.arange(size, dtype=np.float64)
+    buf = np.empty(size)
+    work = np.empty((2, size), np.int64)
     for a in range(nu, top + 1, _CHUNK):
         b = min(a + _CHUNK - 1, top)
-        roots = np.arange(a, b + 1, dtype=np.float64)
-        np.sqrt(roots, out=roots)
+        roots = buf[: b - a + 1]
+        np.sqrt(np.add(ramp[: b - a + 1], a, out=roots), out=roots)
         here = marks[bisect.bisect_left(marks, a) : bisect.bisect_right(marks, b)]
         starts = np.array([0] + [m - a + 1 for m in here if m < b], dtype=np.int64)
-        sums, charges = _chunk_sums(roots, starts)
+        sums, charges = _chunk_sums(roots, starts, work)
         for i, (s, c) in enumerate(zip(sums, charges)):
             total += s
             charge += c
@@ -351,10 +368,11 @@ def sweep_theorem1(
     An end whose bracket straddles an integer (n=1 does: Sigma(1) is
     exactly 1) is decided by an exact scaled-integer prefix instead.  The
     block ends are the n whose means lie closest to the integers, and for
-    max_n = 2**21 the mean brackets there are at most 3.4e-13 wide, against
-    a smallest distance to an integer of 5.7e-5 (n = 2095255; 8.3e-5 at
-    n = 995005 within 10**6), so straddles beyond n=1 would signal
-    degenerate bounds and fail loudly (more than 64 of them raise).
+    max_n = 2**21 the integer mean brackets there are at most 1.6e-13 wide
+    (3.4e-13 once rounded outward to binary64), against a smallest
+    distance to an integer of 5.7e-5 (n = 2095255; 8.3e-5 at n = 995005
+    within 10**6), so straddles beyond n=1 would signal degenerate bounds
+    and fail loudly (more than 64 of them raise).
     """
     max_n = _as_index(max_n, name="max_n")
     _check_float_range(max_n, "max_n")

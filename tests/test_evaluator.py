@@ -6,6 +6,7 @@ import functools
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +19,7 @@ from rootmean import _scaled, evaluator
 from rootmean.asymptotic import delta_bounds, partial_sum_sqrt_enclosure
 from rootmean.evaluator import (
     _CHUNK,
+    _DEFAULT_CAP,
     _certify,
     _chunk_sums,
     _floor_blocks,
@@ -629,13 +631,16 @@ def _reference_fold(roots, spacing, total, comp, err):
     return t, comp, err
 
 
+_REF_CHUNK = 1 << 20  # the reference's own partition, fixed apart from _CHUNK
+
+
 def _reference_mean_chunks(max_n):
     """The per-element float prefix pass, kept as the slow reference: means
     and rigorous rounding bounds at every n of every chunk."""
     carry_s, carry_c = 0.0, 0.0
     base_err = 0.0
-    for a in range(1, max_n + 1, _CHUNK):
-        b = min(a + _CHUNK - 1, max_n)
+    for a in range(1, max_n + 1, _REF_CHUNK):
+        b = min(a + _REF_CHUNK - 1, max_n)
         ks = np.arange(a, b + 1, dtype=np.float64)
         roots = np.sqrt(ks)
         loc = np.cumsum(roots)
@@ -671,8 +676,11 @@ def _block_ends(max_n):
     return sorted({n for start, end, _ in _floor_blocks(max_n) for n in (start, end)})
 
 
-_CROSSING = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 ** 21]
-_SWEEP_SIZES = [1, 2, 64, 2 ** 14, _CHUNK + 5, 2 ** 21]
+# the oracle's chunk boundary and the reference's 2**20 one
+_CROSSING = sorted(
+    {_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 2 ** 21}
+)
+_SWEEP_SIZES = [1, 2, 64, 2 ** 14, _CHUNK + 5, 2 ** 20 + 5, 2 ** 21]
 
 
 @pytest.fixture(scope="module")
@@ -693,16 +701,19 @@ def _exact_sum_is(roots, total):
     return math.fsum(roots.tolist() + parts) == 0.0
 
 
+_SPAN = 1 << 20  # many oracle chunks; the span from 10**8 - _SPAN + 1 ends at 10**8
+
+
 class TestExactChunkSum:
     @pytest.mark.parametrize(
-        "start", [1, 2, 3, 4, _CHUNK + 1, 10 ** 8 - _CHUNK + 1, 2 ** 52]
+        "start", [1, 2, 3, 4, _CHUNK + 1, 2 ** 20 + 1, 10 ** 8 - _SPAN + 1, 2 ** 52]
     )
     def test_matches_fsum_fold(self, start):
         # the bracket's midpoint is the exact sum of the rounded roots, and
         # rounds to their correctly rounded sum
-        end = start + _CHUNK - 1
+        end = start + _SPAN - 1
         roots = np.sqrt(np.arange(start, end + 1, dtype=np.float64))
-        lo, hi = _oracle_brackets(start, [end], _CHUNK)[end]
+        lo, hi = _oracle_brackets(start, [end], _SPAN)[end]
         assert (lo + hi) % 2 == 0 and _exact_sum_is(roots, (lo + hi) // 2)
         assert (lo + hi) / (2 << 54) == math.fsum(roots)
 
@@ -714,7 +725,7 @@ class TestExactChunkSum:
     def test_matches_fsum_anywhere(self, start, count):
         end = start + count - 1
         roots = np.sqrt(np.arange(start, end + 1, dtype=np.float64))
-        lo, hi = _oracle_brackets(start, [end], _CHUNK)[end]
+        lo, hi = _oracle_brackets(start, [end], count)[end]
         assert Fraction(lo + hi, 2 << 54) == sum(map(Fraction, roots.tolist()))
         assert (lo + hi) / (2 << 54) == math.fsum(roots)
 
@@ -722,22 +733,22 @@ class TestExactChunkSum:
         # 1024 * 2**52 = 2**62 fits in int64 and sums exactly; 2048 scales
         # to 2**63 and would wrap, so it is refused, as is an overlong chunk
         starts = np.array([0])
-        assert _chunk_sums(np.array([1.0, 1024.0]), starts)[0] == [1025 << 54]
+        work = np.empty((2, _CHUNK + 1), np.int64)
+        assert _chunk_sums(np.array([1.0, 1024.0]), starts, work)[0] == [1025 << 54]
         for roots in (np.array([1.0, 2048.0]), np.array([1.0, 2.0 ** 20])):
             with pytest.raises(ValueError, match="int64"):
-                _chunk_sums(roots, starts)
+                _chunk_sums(roots, starts, work)
         with pytest.raises(ValueError, match="int64"):
-            _chunk_sums(np.ones(_CHUNK + 1), starts)
+            _chunk_sums(np.ones(_CHUNK + 1), starts, work)
 
-    @pytest.mark.parametrize("start", [1, _CHUNK + 1])
+    @pytest.mark.parametrize("start", [1, _CHUNK + 1, 2 ** 20 + 1])
     def test_spacing_sums_match_cumsum(self, start):
         # each mark is charged at least half a spacing per rounded root,
-        # across a chunk boundary too
-        count = _CHUNK + _CHUNK // 2
+        # across chunk boundaries too
+        count = _SPAN + _SPAN // 2
         roots = np.sqrt(np.arange(start, start + count, dtype=np.float64))
-        idx = np.unique(
-            np.concatenate([np.arange(0, count, 997), [1, 2, 3, _CHUNK - 1, _CHUNK, count - 1]])
-        )
+        edges = [1, 2, 3, _CHUNK - 1, _CHUNK, _SPAN - 1, _SPAN, count - 1]
+        idx = np.unique(np.concatenate([np.arange(0, count, 997), edges]))
         brackets = _oracle_brackets(start, (start + idx).tolist(), count)
         spacings = np.cumsum(np.spacing(roots))[idx]
         for i, spacing in zip(idx.tolist(), spacings.tolist()):
@@ -796,6 +807,50 @@ def test_oracle_bracket_overlaps_euler_maclaurin_bracket():
     # at 2**96 scale at every block end up to 2**17
     marks = _block_ends(2 ** 17)
     scale = 1 << (_scaled.BITS - 54)
-    for n, (lo, hi) in _oracle_brackets(1, marks, _CHUNK).items():
+    for n, (lo, hi) in _oracle_brackets(1, marks, 2 ** 17).items():
         em_lo, em_hi = _scaled.partial_sum_enc(n)
         assert lo * scale <= em_hi and em_lo <= hi * scale, n
+
+
+def _peak_bytes(n):
+    """tracemalloc's peak over one oracle pass of n terms read at n alone."""
+    tracemalloc.start()
+    try:
+        _oracle_brackets(1, [n], n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkPartition:
+    def test_partition_keeps_midpoints_and_never_widens(self, monkeypatch):
+        # the partition only refines where charges are read: at every block
+        # end up to 2**21 and around every multiple of 2**12, the midpoint
+        # is the same for every chunk size, and the half-width can only
+        # shrink with the chunk (2**12 refines 2**15, which refines 2**20)
+        marks = set(_block_ends(2 ** 21))
+        for k in range(1 << 12, 2 ** 21 + 1, 1 << 12):
+            marks.update((k - 1, k, k + 1))
+        marks = sorted(m for m in marks if m <= 2 ** 21)
+        brackets = []
+        for size in (1 << 20, _CHUNK, 1 << 12):
+            monkeypatch.setattr(evaluator, "_CHUNK", size)
+            brackets.append(_oracle_brackets(1, marks, _DEFAULT_CAP))
+        coarse, *finer = brackets
+        for fine in finer:
+            for n in marks:
+                (c_lo, c_hi), (f_lo, f_hi) = coarse[n], fine[n]
+                assert f_lo + f_hi == c_lo + c_hi, n
+                assert f_hi - f_lo <= c_hi - c_lo, n
+            coarse = fine
+
+    def test_peak_memory_is_one_chunk(self):
+        # the working set is four float64/int64 arrays of one chunk, made
+        # once, and numpy's 64 KiB casting buffer: within five arrays, which
+        # fit a 2 MiB L2, whatever the length of the pass
+        _peak_bytes(2 ** 12)  # first-call allocations
+        bound = 5 * 8 * _CHUNK
+        assert bound <= 2 << 20
+        long, short = _peak_bytes(2 ** 21), _peak_bytes(2 ** 18)
+        assert long < bound
+        assert long <= short + 4096
