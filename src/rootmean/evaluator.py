@@ -11,16 +11,19 @@ loaded.
 The direct-summation oracle (oracle_sum_sqrt, oracle_mean, and the prefix
 pass _oracle_mean_many) is the independent cross-check.  One reader,
 _oracle_brackets, takes numpy's correctly rounded square roots chunk by
-chunk, sums them exactly in integers between the requested marks, and
-charges each term half a spacing of its segment's largest root: an
-integer bracket of 2**54 times the sum at each mark, whose midpoint is
-the exact sum of the rounded roots.  Every oracle answer is that bracket
-rounded outward once.  sweep_theorem1 checks Theorem 1, floor(Sigma(n)) =
-floor(A(n)), for every n up to a limit by reading the bracket only at the
-two ends of each block on which floor(A(n)) is constant, and takes the
-floors in integers: Sigma(n) increases, so the ends pin the block.  The
-oracle is the only code here that loads numpy, and it refuses a pass over
-more than cap terms (10**8 unless the caller says otherwise).
+chunk and sums them exactly between the requested marks by their bit
+patterns: within one binade a root's bits are a fixed offset plus its
+significand, so one uint64 reduction sums each run of at most 2**11 roots
+without a conversion (_run_sums).  Each term is charged half a spacing of
+its segment's largest root: an integer bracket of 2**54 times the sum at
+each mark, whose midpoint is the exact sum of the rounded roots.  Every
+oracle answer is that bracket rounded outward once.  sweep_theorem1 checks
+Theorem 1, floor(Sigma(n)) = floor(A(n)), for every n up to a limit by
+reading the bracket only at the two ends of each block on which
+floor(A(n)) is constant, and takes the floors in integers: Sigma(n)
+increases, so the ends pin the block.  The oracle is the only code here
+that loads numpy, and it refuses a pass over more than cap terms (10**8
+unless the caller says otherwise).
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import bisect
 import decimal
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _scaled
@@ -48,11 +53,17 @@ __all__ = [
 ]
 
 # Roots per oracle chunk.  The sums are exact integers, so the partition
-# changes no midpoint: it sets the working set, four float64/int64 arrays
-# of _CHUNK made once per pass (1 MiB, inside a 2 MiB L2), and where the
+# changes no midpoint: it sets the working set, two float64 arrays of
+# _CHUNK made once per pass (the ramp and the roots, whose bit patterns
+# _run_sums reads in place: 512 KiB, inside a 2 MiB L2), and where the
 # charges are read.  Of 2**12..2**20, 2**15-2**17 ran the sweep pool
 # fastest on 2 cores; 2**15 holds the least.
 _CHUNK = 1 << 15
+_RUN = 1 << 11  # roots per run at most: their 2**52 + f sum below 2**64
+# sqrt(4**e) is 2**e exactly, and the rounded sqrt(4**e - 1) stays below
+# it for every 4**e <= 2**52, so each binade of roots k <= 2**53 starts at
+# one of these k
+_BINADE_EDGES = tuple(4 ** e for e in range(1, 27))
 _DEFAULT_CAP = 100_000_000  # the most terms one oracle pass touches by default
 _ORACLE_ONE = 1 << 54  # oracle unit 2**-54: half a spacing of a root >= 1 is whole
 
@@ -74,61 +85,52 @@ def _check_cap(count: int, cap: int) -> None:
         raise ValueError(f"range of {count} terms exceeds the oracle cap {cap}")
 
 
-def _chunk_sums(
-    roots: np.ndarray, starts: np.ndarray, work: np.ndarray
-) -> tuple[list[int], list[int]]:
-    """Exact sums, in units of 2**-54, of the segments of one chunk of at
-    most _CHUNK correctly rounded positive roots in ascending order, and
-    each segment's rounding charge.  Segment i runs from starts[i] up to
-    the next start (the last to the chunk's end); the starts begin at 0
-    and must strictly increase, since np.add.reduceat returns the element
-    itself, not 0, where two starts are equal.  work is int64 working
-    space of shape (2, >= len(roots)), overwritten.
+def _run_sums(roots: np.ndarray, cuts: np.ndarray) -> tuple[list[int], list[int]]:
+    """Exact sums, in units of 2**-54, of runs of correctly rounded roots
+    >= 1, and each run's biased exponent.  Run i is roots[cuts[i] :
+    cuts[i + 1]]: the cuts begin at 0, end at len(roots) and strictly
+    increase.
 
-    A root r in [2**(e-1), 2**e) (frexp exponent e) is within half a
-    spacing, 2**(e-54), of the true square root, and that is 2**e units.
-    Each term is charged 2**e of its segment's last, largest root.
-
-    Every root is at least 2**(e0-1), e0 the exponent of the first, so
-    every root is an integer multiple of 2**(e0-53) and ldexp(roots,
-    53 - e0) holds integers, exactly, each below 2**(53 + e1 - e0).  The
-    guard refuses e1 - e0 > 10 and more than _CHUNK roots, so each is
-    below 2**63 and the int64 conversion is exact.  Split into 31-bit
-    halves, each below 2**32, the _CHUNK = 2**15 terms sum below 2**47
-    per half in int64, 2**16 below the limit: neither segment sum wraps
-    while _CHUNK <= 2**31.  The guard never refuses an
-    oracle chunk while _CHUNK = 2**c <= 2**20: its consecutive integers
-    a..b with a >= 1 have b <= 2**c a, so sqrt(b) <= 2**ceil(c/2) sqrt(a),
-    and rounding is monotone and commutes with that scaling, so e1 - e0
-    <= ceil(c/2), 8 here.  A unit of 2**(e0-53) is 2**(e0+1) units of
-    2**-54, an integer since e0 >= 1 for roots >= 1/2."""
+    A root of biased exponent E and 52-bit fraction f is (2**52 + f)
+    2**(E - 1075), that is (2**52 + f) << (E - 1021) units, and its bit
+    pattern is E 2**52 + f.  Within one binade the bit patterns are a
+    fixed offset plus 2**52 + f, so a run's sum of 2**52 + f is one uint64
+    np.add.reduceat of the bit patterns less count (E - 1) 2**52, mod
+    2**64.  That is exact: each 2**52 + f is below 2**53, so at most _RUN
+    = 2**11 of them sum below 2**64.  A run whose first and last roots
+    differ in exponent, or that holds more than _RUN roots, is refused,
+    never wrapped; the roots ascend, so equal exponents at both ends hold
+    for the whole run."""
     import numpy as np
 
-    e0 = math.frexp(float(roots[0]))[1]
-    e1 = math.frexp(float(roots[-1]))[1]
-    if len(roots) > _CHUNK or e1 - e0 > 10:
-        raise ValueError("chunk too wide for an exact int64 sum")
-    ints, halves = work[0, : len(roots)], work[1, : len(roots)]
-    np.multiply(roots, 2.0 ** (53 - e0), out=ints, casting="unsafe")
-    low = np.add.reduceat(np.bitwise_and(ints, 0x7FFFFFFF, out=halves), starts).tolist()
-    high = np.add.reduceat(np.right_shift(ints, 31, out=ints), starts).tolist()
-    counts = np.diff(starts, append=len(roots))
-    charges = np.left_shift(counts, np.frexp(roots[starts + counts - 1])[1]).tolist()
-    shift = e0 + 1
-    return [((h << 31) + w) << shift for h, w in zip(high, low)], charges
+    bits = roots.view(np.uint64)
+    starts, stops = cuts[:-1], cuts[1:]
+    counts = stops - starts
+    binades = bits[starts] >> 52
+    exps = binades.tolist()
+    if counts.max() > _RUN or exps != (bits[stops - 1] >> 52).tolist():
+        raise ValueError(
+            "run crosses a binade or holds more than 2**11 roots: its uint64 sum could wrap"
+        )
+    sums = np.add.reduceat(bits, starts) - counts.view(np.uint64) * ((binades - 1) << 52)
+    return [s << (e - 1021) for s, e in zip(sums.tolist(), exps)], exps
 
 
 def _oracle_brackets(nu: int, marks, cap: int) -> "dict[int, tuple[int, int]]":
     """{m: (lo, hi)} with lo <= 2**54 sum_{k=nu}^{m} sqrt(k) <= hi at each
-    mark m >= nu, in one pass over fixed chunks of _CHUNK terms: numpy's
-    correctly rounded square roots, their exact segment sums between
-    consecutive marks (_chunk_sums) and the segments' rounding charges,
-    both accumulated in Python ints.  The bracket's midpoint is the exact
-    sum of the rounded roots and its half-width the charges up to m; the
-    marks are de-duplicated and sorted first, so the segment starts
-    strictly increase.  The chunk's arrays are made once and reused, so
-    the pass stays in cache, and a + ramp is exact since top < 2**53.
-    The one summation reader of the oracle."""
+    mark m >= nu, in one pass over fixed chunks of _CHUNK terms.
+
+    Each chunk's correctly rounded roots are cut into runs at every mark,
+    at every binade edge and every _RUN terms, and _run_sums sums the runs
+    exactly; Python ints accumulate them.  Each segment of a chunk, up to
+    a mark or to the chunk's end, is charged half a spacing per term of
+    its last, largest root: 2**(E - 1022) units for a root of biased
+    exponent E.  The bracket's midpoint is the exact sum of the rounded
+    roots and its half-width the charges up to m.  The marks are
+    de-duplicated and sorted first, so the cuts strictly increase.  The
+    chunk's arrays are made once and reused, so the pass stays in cache,
+    and a + ramp is exact since top <= 2**53.  The one summation reader of
+    the oracle."""
     marks = sorted({_as_index(m) for m in marks})
     if not marks:
         return {}
@@ -140,23 +142,31 @@ def _oracle_brackets(nu: int, marks, cap: int) -> "dict[int, tuple[int, int]]":
     import numpy as np
 
     out: dict[int, tuple[int, int]] = {}
-    total = charge = 0
+    total = charge = i = 0
     size = min(_CHUNK, top - nu + 1)
-    ramp = np.arange(size, dtype=np.float64)
-    buf = np.empty(size)
-    work = np.empty((2, size), np.int64)
+    # one block for the ramp and the roots: the allocator keeps a single
+    # 512 KiB block on its heap between passes, where two 256 KiB ones were
+    # mapped afresh and faulted in on every pass
+    ramp, buf = np.arange(2 * size, dtype=np.float64).reshape(2, size)
     for a in range(nu, top + 1, _CHUNK):
-        b = min(a + _CHUNK - 1, top)
-        roots = buf[: b - a + 1]
-        np.sqrt(np.add(ramp[: b - a + 1], a, out=roots), out=roots)
-        here = marks[bisect.bisect_left(marks, a) : bisect.bisect_right(marks, b)]
-        starts = np.array([0] + [m - a + 1 for m in here if m < b], dtype=np.int64)
-        sums, charges = _chunk_sums(roots, starts, work)
-        for i, (s, c) in enumerate(zip(sums, charges)):
-            total += s
-            charge += c
-            if i < len(here):
-                out[here[i]] = (total - charge, total + charge)
+        n = min(_CHUNK, top + 1 - a)
+        roots = buf[:n]
+        np.sqrt(np.add(ramp[:n], a, out=roots), out=roots)
+        j = bisect.bisect_left(marks, a + n, i)
+        here, i = marks[i:j], j
+        ends = [m - a + 1 for m in here]  # the segments' ends in the chunk
+        if not ends or ends[-1] < n:
+            ends.append(n)
+        edges = [k - a for k in _BINADE_EDGES if a < k < a + n]
+        cuts = np.array(sorted({*range(0, n, _RUN), *ends, *edges}))
+        sums, exps = _run_sums(roots, cuts)
+        at = np.searchsorted(cuts, ends).tolist()  # runs before each segment's end
+        sofar = list(accumulate(sums, initial=total))
+        totals = [sofar[k] for k in at]
+        steps = [(t - s) << (exps[k - 1] - 1022) for t, s, k in zip(ends, [0, *ends], at)]
+        charges = list(accumulate(steps, initial=charge))[1:]
+        out.update(zip(here, zip(map(sub, totals, charges), map(add, totals, charges))))
+        total, charge = sofar[-1], charges[-1]
     return out
 
 

@@ -1,0 +1,62 @@
+"""tools/bench_pairs.py: the per-workload summary of alternating pairs,
+checked on synthetic runs."""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "bench_pairs.py")
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BENCH = {
+    "run_seconds": 20,
+    "workloads": [{"name": "sweep"}],
+    "end_to_end": [
+        {"name": "queries_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.15},
+    ],
+}
+
+
+def _run(seed, side, qps, rss, failed=0):
+    metrics = {"queries_per_s": {"value": qps}, "peak_rss_mib": {"value": rss}}
+    result = {"correct": failed == 0, "failed": failed, "attempted": 100, "metrics": metrics}
+    return {"workload": "sweep", "seed": seed, "side": side, "result": result}
+
+
+def test_one_seed_is_its_own_median_and_quartiles():
+    runs = [_run(7, "parent", 100.0, 30.0), _run(7, "change", 150.0, 31.0)]
+    row = bench_pairs.summarise(BENCH, runs, [7])["workloads"]["sweep"]
+    assert row["pairs"] == 1
+    qps = row["metrics"]["queries_per_s"]
+    assert qps["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0, "runs": [100.0]}
+    assert qps["change"] == {"median": 150.0, "q1": 150.0, "q3": 150.0, "runs": [150.0]}
+    assert qps["change_wins"] == 1
+    assert row["metrics"]["peak_rss_mib"]["change_wins"] == 0
+
+
+def test_three_seeds_give_inclusive_quartiles_and_wins():
+    runs = []
+    for seed, (p, c) in zip((1, 2, 3), ((100.0, 90.0), (120.0, 130.0), (110.0, 140.0))):
+        # the change's runs are listed first: order by seed, not by arrival
+        runs += [_run(seed, "change", c, 20.0 + seed), _run(seed, "parent", p, 25.0)]
+    runs[-1] = _run(3, "parent", 110.0, 25.0, failed=2)
+    summary = bench_pairs.summarise(BENCH, runs, [1, 2, 3])
+    assert summary["seeds"] == [1, 2, 3]
+    row = summary["workloads"]["sweep"]
+    qps = row["metrics"]["queries_per_s"]
+    assert qps["parent"] == {"median": 110.0, "q1": 105.0, "q3": 115.0, "runs": [100.0, 120.0, 110.0]}
+    assert qps["change"]["runs"] == [90.0, 130.0, 140.0]
+    assert (qps["change"]["q1"], qps["change"]["median"], qps["change"]["q3"]) == (110.0, 130.0, 135.0)
+    assert qps["change_wins"] == 2
+    assert row["metrics"]["peak_rss_mib"]["change_wins"] == 3  # lower is better
+    assert row["parent"] == {"correct": False, "failed": 2, "attempted": 300}
+    assert row["change"] == {"correct": True, "failed": 0, "attempted": 300}
+
+
+@pytest.mark.parametrize("text, seeds", [("7", [7]), ("1001-1003", [1001, 1002, 1003])])
+def test_seed_ranges(text, seeds):
+    assert bench_pairs._seeds(text) == seeds

@@ -2,6 +2,7 @@
 fast_mean, certified means, the paper's split route, and the floor sweep
 machinery."""
 
+import bisect
 import functools
 import math
 import re
@@ -21,10 +22,10 @@ from rootmean.evaluator import (
     _CHUNK,
     _DEFAULT_CAP,
     _certify,
-    _chunk_sums,
     _floor_blocks,
     _oracle_brackets,
     _oracle_mean_many,
+    _run_sums,
     fast_mean,
     oracle_mean,
     oracle_sum_sqrt,
@@ -729,17 +730,41 @@ class TestExactChunkSum:
         assert Fraction(lo + hi, 2 << 54) == sum(map(Fraction, roots.tolist()))
         assert (lo + hi) / (2 << 54) == math.fsum(roots)
 
-    def test_int64_guard_refuses_instead_of_wrapping(self):
-        # 1024 * 2**52 = 2**62 fits in int64 and sums exactly; 2048 scales
-        # to 2**63 and would wrap, so it is refused, as is an overlong chunk
-        starts = np.array([0])
-        work = np.empty((2, _CHUNK + 1), np.int64)
-        assert _chunk_sums(np.array([1.0, 1024.0]), starts, work)[0] == [1025 << 54]
-        for roots in (np.array([1.0, 2048.0]), np.array([1.0, 2.0 ** 20])):
-            with pytest.raises(ValueError, match="int64"):
-                _chunk_sums(roots, starts, work)
-        with pytest.raises(ValueError, match="int64"):
-            _chunk_sums(np.ones(_CHUNK + 1), starts, work)
+    def test_run_guard_refuses_instead_of_wrapping(self):
+        # 2**11 roots at the top of one binade are the widest run: their
+        # 2**52 + f sum to 2**11 (2**53 - 1) < 2**64, exactly; one more
+        # root would pass 2**64 and wrap, so it is refused, as is a run
+        # whose roots span two binades or more, wherever it lies
+        top = np.nextafter(2.0, 0.0)  # 2 - 2**-52: f = 2**52 - 1
+        full = np.full(2 ** 11, top)
+        sums, exps = _run_sums(full, np.array([0, 2 ** 11]))
+        assert sums == [2 ** 11 * (2 ** 53 - 1) << 2] and exps == [1023]
+        assert Fraction(sums[0], 2 ** 54) == 2 ** 11 * Fraction(top)
+        assert _run_sums(np.array([1.0, 1.5, 1024.0]), np.array([0, 2, 3]))[0] == [
+            5 << 53, 1024 << 54
+        ]
+        assert 2 ** 11 * (2 ** 53 - 1) < 2 ** 64 <= (2 ** 11 + 1) * (2 ** 53 - 1)
+        overlong = np.full(2 ** 11 + 1, top)
+        crossing = [[1.0, 2.0], [1.0, 2048.0], [1.0, 2.0 ** 20], [1.5, np.nextafter(2.0, 3.0)]]
+        with pytest.raises(ValueError, match="wrap"):
+            _run_sums(overlong, np.array([0, 2 ** 11 + 1]))
+        with pytest.raises(ValueError, match="wrap"):
+            _run_sums(np.ones(_CHUNK + 1), np.array([0, _CHUNK + 1]))
+        for roots in crossing:
+            with pytest.raises(ValueError, match="wrap"):
+                _run_sums(np.array(roots), np.array([0, 2]))
+            # the same run behind a valid one is refused too
+            with pytest.raises(ValueError, match="wrap"):
+                _run_sums(np.array([1.0, *roots]), np.array([0, 1, 3]))
+
+    def test_binade_edges_are_powers_of_four(self):
+        # the oracle cuts its runs at 4**e: sqrt(4**e) is 2**e exactly and
+        # the rounded sqrt(4**e - 1) stays in the binade below, for every
+        # edge up to the oracle's 2**53 limit
+        assert evaluator._BINADE_EDGES[-1] <= 2 ** 53 < 4 * evaluator._BINADE_EDGES[-1]
+        for k in evaluator._BINADE_EDGES:
+            below, at = np.sqrt(np.array([k - 1, k], dtype=np.float64))
+            assert at == math.isqrt(k) and math.frexp(below)[1] == math.frexp(at)[1] - 1
 
     @pytest.mark.parametrize("start", [1, _CHUNK + 1, 2 ** 20 + 1])
     def test_spacing_sums_match_cumsum(self, start):
@@ -812,6 +837,86 @@ def test_oracle_bracket_overlaps_euler_maclaurin_bracket():
         assert lo * scale <= em_hi and em_lo <= hi * scale, n
 
 
+_FROZEN_CHUNK = 1 << 15
+
+
+def _frozen_chunk_sums(roots, starts, work):
+    """The int64 chunk sum the bit-pattern kernel replaced, kept as the
+    reference with its guard as an assertion: roots scaled by 2**(53 - e0)
+    into int64, summed in 31-bit halves per segment, each segment charged
+    2**e of its last root."""
+    e0 = math.frexp(float(roots[0]))[1]
+    e1 = math.frexp(float(roots[-1]))[1]
+    assert len(roots) <= _FROZEN_CHUNK and e1 - e0 <= 10
+    ints, halves = work[0, : len(roots)], work[1, : len(roots)]
+    np.multiply(roots, 2.0 ** (53 - e0), out=ints, casting="unsafe")
+    low = np.add.reduceat(np.bitwise_and(ints, 0x7FFFFFFF, out=halves), starts).tolist()
+    high = np.add.reduceat(np.right_shift(ints, 31, out=ints), starts).tolist()
+    counts = np.diff(starts, append=len(roots))
+    charges = np.left_shift(counts, np.frexp(roots[starts + counts - 1])[1]).tolist()
+    shift = e0 + 1
+    return [((h << 31) + w) << shift for h, w in zip(high, low)], charges
+
+
+def _frozen_oracle_brackets(nu, marks, cap):
+    """The oracle pass before the bit-pattern kernel, over its own fixed
+    2**15-term chunks: the reference whose brackets the kernel must
+    reproduce bit for bit."""
+    marks = sorted(set(marks))
+    top = marks[-1]
+    assert nu <= marks[0] and top <= 2 ** 53 and top - nu + 1 <= cap
+    out = {}
+    total = charge = 0
+    size = min(_FROZEN_CHUNK, top - nu + 1)
+    ramp = np.arange(size, dtype=np.float64)
+    buf = np.empty(size)
+    work = np.empty((2, size), np.int64)
+    for a in range(nu, top + 1, _FROZEN_CHUNK):
+        b = min(a + _FROZEN_CHUNK - 1, top)
+        roots = buf[: b - a + 1]
+        np.sqrt(np.add(ramp[: b - a + 1], a, out=roots), out=roots)
+        here = marks[bisect.bisect_left(marks, a) : bisect.bisect_right(marks, b)]
+        starts = np.array([0] + [m - a + 1 for m in here if m < b], dtype=np.int64)
+        sums, charges = _frozen_chunk_sums(roots, starts, work)
+        for i, (s, c) in enumerate(zip(sums, charges)):
+            total += s
+            charge += c
+            if i < len(here):
+                out[here[i]] = (total - charge, total + charge)
+    return out
+
+
+_EDGE_MARKS = sorted({4 ** j + d for j in range(1, 11) for d in (-1, 0, 1)})
+
+
+class TestBitIdentity:
+    """The bit-pattern kernel gives the frozen int64 pass's brackets exactly:
+    the same midpoint and the same half-width at every mark."""
+
+    @pytest.mark.parametrize(
+        "nu, marks",
+        [
+            (1, _block_ends(2 ** 21)),
+            (1, _EDGE_MARKS),
+            (1, [_CHUNK - 1, _CHUNK, _CHUNK + 1]),
+            (7, [7, 8, 15, 16, 17, *_EDGE_MARKS[6:], _CHUNK + 6, _CHUNK + 7, 10 ** 6]),
+            (4 ** 20 - 3, [4 ** 20 + d for d in (-3, -2, -1, 0, 1, 2, _CHUNK, 10 ** 5)]),
+            (2 ** 52, [2 ** 52 + 1, 2 ** 52 + _CHUNK - 1, 2 ** 52 + _CHUNK, 2 ** 52 + 10 ** 5 - 1]),
+        ],
+        ids=["block-ends-2^21", "binade-edges", "chunk", "nu=7", "nu=4^20-3", "nu=2^52"],
+    )
+    def test_brackets_match_frozen_pass(self, nu, marks):
+        new = _oracle_brackets(nu, marks, _DEFAULT_CAP)
+        assert new == _frozen_oracle_brackets(nu, marks, _DEFAULT_CAP)
+        assert sorted(new) == sorted(set(marks))
+
+    @pytest.mark.parametrize("max_n", [1, 2, 64, 2 ** 14, 2 ** 20 + 5, 2 ** 21])
+    def test_sweep_matches_frozen_pass(self, max_n, monkeypatch):
+        result = sweep_theorem1(max_n)
+        monkeypatch.setattr(evaluator, "_oracle_brackets", _frozen_oracle_brackets)
+        assert result == sweep_theorem1(max_n)
+
+
 def _peak_bytes(n):
     """tracemalloc's peak over one oracle pass of n terms read at n alone."""
     tracemalloc.start()
@@ -845,8 +950,9 @@ class TestChunkPartition:
             coarse = fine
 
     def test_peak_memory_is_one_chunk(self):
-        # the working set is four float64/int64 arrays of one chunk, made
-        # once, and numpy's 64 KiB casting buffer: within five arrays, which
+        # the working set is two float64 arrays of one chunk, the ramp and
+        # the roots (whose bit patterns are summed in place), made once,
+        # and each chunk's few run-sized arrays: within five arrays, which
         # fit a 2 MiB L2, whatever the length of the pass
         _peak_bytes(2 ** 12)  # first-call allocations
         bound = 5 * 8 * _CHUNK

@@ -45,7 +45,12 @@ def _run(root: str, workload: str, seed: int, seconds: int) -> dict:
 
 
 def _spread(values: "list[float]") -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; one run is its own median and quartiles
+    (statistics.quantiles needs two values)."""
+    if len(values) == 1:
+        q1 = q2 = q3 = values[0]
+    else:
+        q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3, "runs": values}
 
 
