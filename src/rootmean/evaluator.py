@@ -10,13 +10,18 @@ loaded.
 
 The direct-summation oracle (oracle_sum_sqrt, oracle_mean, and the prefix
 pass _oracle_mean_many) is the independent cross-check.  One reader,
-_oracle_brackets, takes numpy's correctly rounded square roots chunk by
-chunk and sums them exactly between the requested marks by their bit
+_oracle_pass, takes numpy's correctly rounded square roots chunk by chunk
+and sums them exactly between sorted, distinct marks by their bit
 patterns: within one binade a root's bits are a fixed offset plus its
 significand, so one uint64 reduction sums each run of at most 2**11 roots
-without a conversion (_run_sums).  Each term is charged half a spacing of
-its segment's largest root: an integer bracket of 2**54 times the sum at
-each mark, whose midpoint is the exact sum of the rounded roots.  Every
+without a conversion (_exact_runs).  The runs are planned a window of
+chunks at a time (_oracle_window): one sorted array of cuts per window,
+and after its chunks one vectorised check, one exact prefix and one
+lookup of the marks, so no Python runs per chunk beyond the numpy calls.
+Each term is charged half a spacing of its segment's largest root: an
+integer bracket of 2**54 times the sum at each mark, whose midpoint is the
+exact sum of the rounded roots, returned as two lists aligned with the
+marks; _oracle_brackets is its front for marks in any order.  Every
 oracle answer is that bracket rounded outward once.  sweep_theorem1 checks
 Theorem 1, floor(Sigma(n)) = floor(A(n)), for every n up to a limit by
 reading the bracket only at the two ends of each block on which
@@ -28,12 +33,11 @@ unless the caller says otherwise).
 
 from __future__ import annotations
 
-import bisect
 import decimal
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, floordiv, lshift, ne, or_, rshift, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _scaled
@@ -55,11 +59,20 @@ __all__ = [
 # Roots per oracle chunk.  The sums are exact integers, so the partition
 # changes no midpoint: it sets the working set, two float64 arrays of
 # _CHUNK made once per pass (the ramp and the roots, whose bit patterns
-# _run_sums reads in place: 512 KiB, inside a 2 MiB L2), and where the
-# charges are read.  Of 2**12..2**20, 2**15-2**17 ran the sweep pool
-# fastest on 2 cores; 2**15 holds the least.
+# are summed in place: 512 KiB, inside a 2 MiB L2), and where the charges
+# are read: a segment ends at each mark and at each chunk's end.  Of
+# 2**12..2**20, 2**15-2**17 ran the sweep pool fastest on 2 cores; 2**15
+# holds the least.
 _CHUNK = 1 << 15
-_RUN = 1 << 11  # roots per run at most: their 2**52 + f sum below 2**64
+# Chunks per planning window.  A window's cuts, exponent checks and readout
+# are a few numpy calls and one Python pass over its runs and marks, so the
+# fixed cost of planning is paid once per _WINDOW chunks, not per chunk.
+# In-process rounds of the sweep pool (seeds 7 and 601, 2 cores) took 227
+# and 242 ms at 4 chunks, 216 and 224 at 8, 209 and 215 at 16; but from 16
+# on a window's run-sized arrays outgrow those of a 2**18-term pass, and a
+# long pass would hold more than a short one (22 KB more at 2**21).
+_WINDOW = 8
+_RUN = 1 << 11  # a window cuts a run every _RUN roots: their 2**52 + f sum below 2**64
 # sqrt(4**e) is 2**e exactly, and the rounded sqrt(4**e - 1) stays below
 # it for every 4**e <= 2**52, so each binade of roots k <= 2**53 starts at
 # one of these k
@@ -85,89 +98,141 @@ def _check_cap(count: int, cap: int) -> None:
         raise ValueError(f"range of {count} terms exceeds the oracle cap {cap}")
 
 
-def _run_sums(roots: np.ndarray, cuts: np.ndarray) -> tuple[list[int], list[int]]:
+def _exact_runs(
+    raw: np.ndarray, counts: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> tuple[map, np.ndarray]:
     """Exact sums, in units of 2**-54, of runs of correctly rounded roots
-    >= 1, and each run's biased exponent.  Run i is roots[cuts[i] :
-    cuts[i + 1]]: the cuts begin at 0, end at len(roots) and strictly
-    increase.
+    >= 1: run i holds counts[i] roots, first[i] and last[i] are the bit
+    patterns of its first and last root, and raw[i] the uint64 sum of all
+    its bit patterns, mod 2**64.  Returns the sums (a map of Python ints)
+    and each run's biased exponent (int64).
 
     A root of biased exponent E and 52-bit fraction f is (2**52 + f)
     2**(E - 1075), that is (2**52 + f) << (E - 1021) units, and its bit
     pattern is E 2**52 + f.  Within one binade the bit patterns are a
-    fixed offset plus 2**52 + f, so a run's sum of 2**52 + f is one uint64
-    np.add.reduceat of the bit patterns less count (E - 1) 2**52, mod
-    2**64.  That is exact: each 2**52 + f is below 2**53, so at most _RUN
-    = 2**11 of them sum below 2**64.  A run whose first and last roots
-    differ in exponent, or that holds more than _RUN roots, is refused,
-    never wrapped; the roots ascend, so equal exponents at both ends hold
-    for the whole run."""
+    fixed offset plus 2**52 + f, so a run's sum of 2**52 + f is raw less
+    count (E - 1) 2**52, mod 2**64.  That is exact: each 2**52 + f is below
+    2**53, so at most _RUN = 2**11 of them sum below 2**64.  A run whose
+    first and last roots differ in exponent, or that holds more than _RUN
+    roots, is refused, never wrapped; the roots ascend, so equal exponents
+    at both ends hold for the whole run.  raw is overwritten."""
     import numpy as np
 
-    bits = roots.view(np.uint64)
-    starts, stops = cuts[:-1], cuts[1:]
-    counts = stops - starts
-    binades = bits[starts] >> 52
-    exps = binades.tolist()
-    if counts.max() > _RUN or exps != (bits[stops - 1] >> 52).tolist():
+    binades = first >> 52
+    # the roots ascend, so a run's last binade is below its first only if
+    # they do not, and the uint64 difference then wraps to above 0 too
+    if counts.max() > _RUN or ((last >> 52) - binades).max() > 0:
         raise ValueError(
             "run crosses a binade or holds more than 2**11 roots: its uint64 sum could wrap"
         )
-    sums = np.add.reduceat(bits, starts) - counts.view(np.uint64) * ((binades - 1) << 52)
-    return [s << (e - 1021) for s, e in zip(sums.tolist(), exps)], exps
+    raw -= counts.view(np.uint64) * ((binades - 1) << 52)
+    exps = binades.view(np.int64)
+    return map(lshift, raw.tolist(), (exps - 1021).tolist()), exps
 
 
-def _oracle_brackets(nu: int, marks, cap: int) -> "dict[int, tuple[int, int]]":
-    """{m: (lo, hi)} with lo <= 2**54 sum_{k=nu}^{m} sqrt(k) <= hi at each
-    mark m >= nu, in one pass over fixed chunks of _CHUNK terms.
+def _oracle_window(a, n, ends, ramp, buf, total, charge, totals, charges):
+    """Sum the n roots of k = a .. a+n-1, chunk by chunk, and append to
+    totals and charges the bracket's midpoint and half-width at each mark
+    a + e - 1 for e in ends (int64, strictly increasing, within 1..n), given
+    total and charge at a - 1; returns them at a + n - 1.
 
-    Each chunk's correctly rounded roots are cut into runs at every mark,
-    at every binade edge and every _RUN terms, and _run_sums sums the runs
-    exactly; Python ints accumulate them.  Each segment of a chunk, up to
-    a mark or to the chunk's end, is charged half a spacing per term of
-    its last, largest root: 2**(E - 1022) units for a root of biased
-    exponent E.  The bracket's midpoint is the exact sum of the rounded
-    roots and its half-width the charges up to m.  The marks are
-    de-duplicated and sorted first, so the cuts strictly increase.  The
-    chunk's arrays are made once and reused, so the pass stays in cache,
-    and a + ramp is exact since top <= 2**53.  The one summation reader of
-    the oracle."""
-    marks = sorted({_as_index(m) for m in marks})
-    if not marks:
-        return {}
-    if marks[0] < nu:
-        raise ValueError("need nu <= n")
-    top = marks[-1]
-    _check_float_range(top)
-    _check_cap(top - nu + 1, cap)
+    The window is planned once: one sorted array of cuts holds every _RUN-th
+    term, each mark's end, the binade edges 4**e and the window's end, and
+    every chunk end is among them.  The chunk loop then takes the roots in
+    buf and sums each run of them that starts in the chunk with one uint64
+    reduceat of their bit patterns, and gathers each run's first and last
+    bit pattern.  _exact_runs checks and reads the runs, and one accumulate
+    gives the exact prefix at every cut.  Each segment of a chunk, up to a
+    mark or to the chunk's end, is charged half a spacing per term of its
+    last, largest root: 2**(E - 1022) units for a root of biased exponent
+    E.  a + ramp is exact since a + n - 1 <= 2**53."""
     import numpy as np
 
-    out: dict[int, tuple[int, int]] = {}
-    total = charge = i = 0
+    bounds = [*range(0, n, _CHUNK), n]  # the chunks' starts and the window's end
+    edges = [k - a for k in _BINADE_EDGES if a < k < a + n]
+    cuts = np.concatenate((np.arange(0, n, _RUN), ends, [*edges, n]))
+    cuts.sort()
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    counts = cuts[1:] - cuts[:-1]
+    starts = cuts[:-1] % _CHUNK  # each run's first root within its chunk
+    lasts = starts + counts - 1
+    raw, first, last = np.empty((3, len(counts)), dtype=np.uint64)
+    bits = buf.view(np.uint64)
+    split = np.searchsorted(cuts, bounds).tolist()  # the runs of each chunk
+    for c, i, j in zip(bounds, split, split[1:]):
+        m = min(_CHUNK, n - c)
+        np.sqrt(np.add(ramp[:m], a + c, out=buf[:m]), out=buf[:m])
+        np.add.reduceat(bits[:m], starts[i:j], out=raw[i:j])
+        first[i:j] = bits[starts[i:j]]
+        last[i:j] = bits[lasts[i:j]]
+    sums, exps = _exact_runs(raw, counts, first, last)
+    prefix = list(accumulate(sums, initial=total))
+    # each segment's end; one that is both a mark's and a chunk's is
+    # charged once, the copy's step being 0
+    segs = np.concatenate((ends, bounds[1:]))
+    segs.sort()
+    at = np.searchsorted(cuts, segs)  # the runs before each
+    lengths = segs.copy()
+    lengths[1:] -= segs[:-1]
+    # at most n 2**27 units: roots stay below 2**27 for k <= 2**53
+    steps = np.cumsum(lengths << (exps[at - 1] - 1022))
+    own = np.searchsorted(segs, ends)
+    totals.extend(map(prefix.__getitem__, at[own].tolist()))
+    charges.extend(map(charge.__add__, steps[own].tolist()))
+    return prefix[-1], charge + int(steps[-1])
+
+
+def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
+    """(totals, charges), aligned with marks: at each mark m,
+    total - charge <= 2**54 sum_{k=nu}^{m} sqrt(k) <= total + charge, in
+    one pass over fixed chunks of _CHUNK terms, planned _WINDOW chunks at
+    a time (_oracle_window).  The midpoint total is the exact sum of the
+    correctly rounded roots and the half-width charge their spacings' half
+    up to m.  The marks must be exact integers that strictly increase from
+    nu >= 1; anything else is refused, never misread.  The chunk's arrays
+    are made once and reused, so the pass stays in cache.  The one
+    summation reader of the oracle."""
+    if not len(marks):
+        return [], []
+    top = _check_float_range(marks[-1])
+    import numpy as np
+
+    marks = np.asarray(marks)
+    if marks.dtype.kind != "i":
+        raise TypeError(f"oracle marks must be integers, got {marks.dtype}")
+    if marks[0] < nu or not (marks[1:] > marks[:-1]).all():  # no int64 difference to wrap
+        raise ValueError(f"oracle marks must increase strictly from nu = {nu}")
+    _check_cap(top - nu + 1, cap)
+    totals: list[int] = []
+    charges: list[int] = []
+    total = charge = 0
     size = min(_CHUNK, top - nu + 1)
     # one block for the ramp and the roots: the allocator keeps a single
     # 512 KiB block on its heap between passes, where two 256 KiB ones were
     # mapped afresh and faulted in on every pass
     ramp, buf = np.arange(2 * size, dtype=np.float64).reshape(2, size)
-    for a in range(nu, top + 1, _CHUNK):
-        n = min(_CHUNK, top + 1 - a)
-        roots = buf[:n]
-        np.sqrt(np.add(ramp[:n], a, out=roots), out=roots)
-        j = bisect.bisect_left(marks, a + n, i)
-        here, i = marks[i:j], j
-        ends = [m - a + 1 for m in here]  # the segments' ends in the chunk
-        if not ends or ends[-1] < n:
-            ends.append(n)
-        edges = [k - a for k in _BINADE_EDGES if a < k < a + n]
-        cuts = np.array(sorted({*range(0, n, _RUN), *ends, *edges}))
-        sums, exps = _run_sums(roots, cuts)
-        at = np.searchsorted(cuts, ends).tolist()  # runs before each segment's end
-        sofar = list(accumulate(sums, initial=total))
-        totals = [sofar[k] for k in at]
-        steps = [(t - s) << (exps[k - 1] - 1022) for t, s, k in zip(ends, [0, *ends], at)]
-        charges = list(accumulate(steps, initial=charge))[1:]
-        out.update(zip(here, zip(map(sub, totals, charges), map(add, totals, charges))))
-        total, charge = sofar[-1], charges[-1]
-    return out
+    span = _WINDOW * _CHUNK
+    starts = range(nu, top + 1, span)
+    split = np.searchsorted(marks, [a + span for a in starts]).tolist()
+    for a, i, j in zip(starts, [0, *split], split):
+        n = min(span, top + 1 - a)
+        total, charge = _oracle_window(
+            a, n, marks[i:j] - (a - 1), ramp, buf, total, charge, totals, charges
+        )
+    return totals, charges
+
+
+def _oracle_brackets(nu: int, marks, cap: int) -> "dict[int, tuple[int, int]]":
+    """{m: (lo, hi)} with lo <= 2**54 sum_{k=nu}^{m} sqrt(k) <= hi at each
+    mark m >= nu: the marks are validated, de-duplicated and sorted, then
+    read by _oracle_pass."""
+    marks = sorted({_as_index(m) for m in marks})
+    if not marks:
+        return {}
+    if marks[0] < nu:
+        raise ValueError("need nu <= n")
+    totals, charges = _oracle_pass(nu, marks, cap)
+    return dict(zip(marks, zip(map(sub, totals, charges), map(add, totals, charges))))
 
 
 def oracle_sum_sqrt(nu: int, n: int, *, cap: int = _DEFAULT_CAP) -> Enclosure:
@@ -312,43 +377,44 @@ def _oracle_mean_many(ns, *, cap: int = _DEFAULT_CAP) -> "dict[int, Enclosure]":
     }
 
 
-def _floor_blocks(max_n: int) -> "list[tuple[int, int, int]]":
-    """The blocks (start, end, m) on which floor(A(n)) = m, covering [1,
-    max_n] in order: block m runs from alpha(m-1) exclusive to alpha(m)
-    inclusive (cut at max_n), and the exact floor is checked at both ends
-    against the threshold, which pins the block since A is increasing."""
-    blocks = []
-    m, start = 1, 1
-    while start <= max_n:
-        end = min(alpha_floor(m), max_n)
-        if floor_A_exact(start) != m or floor_A_exact(end) != m:
-            raise AssertionError("alpha threshold table disagrees with exact floor")
-        blocks.append((start, end, m))
-        m += 1
-        start = end + 1
-    return blocks
+def _floor_blocks(max_n: int) -> "tuple[list[int], list[int]]":
+    """(starts, ends): the blocks on which floor(A(n)) is constant, covering
+    [1, max_n] in order.  Block m = i + 1 runs from starts[i] =
+    alpha(m-1) + 1 to ends[i] = alpha(m), and the last, m = floor(A(max_n)),
+    is cut at max_n.  Every threshold comes from alpha_floor and the exact
+    floor is checked at both ends of every block, which pins the block since
+    A is increasing; the last block's threshold must reach max_n."""
+    ms = list(range(1, floor_A_exact(max_n) + 1))
+    ends = list(map(alpha_floor, ms))
+    reach = ends[-1]
+    ends[-1] = max_n
+    starts = [1, *map((1).__add__, ends[:-1])]
+    if (
+        reach < max_n
+        or list(map(floor_A_exact, starts)) != ms
+        or list(map(floor_A_exact, ends)) != ms
+    ):
+        raise AssertionError("alpha threshold table disagrees with exact floor")
+    return starts, ends
 
 
-def _oracle_floors(ns, cap: int) -> "dict[int, int]":
-    """floor(Sigma(n)) at each n from the oracle's integer bracket, or,
-    where the bracket straddles an integer, from an exact scaled-integer
-    prefix."""
-    floors: dict[int, int] = {}
-    undecided: list[int] = []
-    for n_i, (lo, hi) in _oracle_brackets(1, ns, cap).items():
-        denom = n_i * _ORACLE_ONE
-        f = lo // denom
-        if f == hi // denom:
-            floors[n_i] = f
-        else:
-            undecided.append(n_i)
+def _oracle_floors(marks, cap: int) -> "list[int]":
+    """floor(Sigma(n)) at each mark n, which must strictly increase from 1:
+    from the oracle's integer bracket, or, where the bracket straddles an
+    integer, from an exact scaled-integer prefix."""
+    totals, charges = _oracle_pass(1, marks, cap)
+    # floor(x / (n 2**54)) = floor(floor(x / 2**54) / n) for integers x
+    floors = list(map(floordiv, map(rshift, map(sub, totals, charges), repeat(54)), marks))
+    highs = map(floordiv, map(rshift, map(add, totals, charges), repeat(54)), marks)
+    undecided = list(compress(range(len(floors)), map(ne, floors, highs)))
     if len(undecided) > 64:
         raise AssertionError(
             f"{len(undecided)} straddling prefixes: error bounds degenerate"
         )
     if undecided:
-        prefix = _scaled.sqrt_prefix(max(undecided))
-        for n_i in undecided:
+        prefix = _scaled.sqrt_prefix(marks[undecided[-1]])
+        for i in undecided:
+            n_i = marks[i]
             s_lo, s_hi = _scaled.sum_sqrt_enc(prefix, 1, n_i)
             denom = n_i * _scaled.ONE
             f_lo, f_hi = s_lo // denom, s_hi // denom
@@ -356,7 +422,7 @@ def _oracle_floors(ns, cap: int) -> "dict[int, int]":
                 raise AssertionError(
                     f"scaled prefix cannot separate the mean at n={n_i}"
                 )
-            floors[n_i] = f_lo
+            floors[i] = f_lo
     return floors
 
 
@@ -388,12 +454,25 @@ def sweep_theorem1(
     _check_float_range(max_n, "max_n")
     _check_cap(max_n, cap)
 
-    blocks = _floor_blocks(max_n)
-    floors = _oracle_floors([n for s, e, _ in blocks for n in (s, e)], cap)
-    off = [(s, e, m) for s, e, m in blocks if floors[s] != m or floors[e] != m]
-    if off:
-        floors.update(_oracle_floors([n for s, e, _ in off for n in range(s, e + 1)], cap))
-    mismatches = [
-        (n, m, floors[n]) for s, e, m in off for n in range(s, e + 1) if floors[n] != m
-    ]
-    return sum(e - s + 1 for s, e, _ in blocks), mismatches
+    starts, ends = _floor_blocks(max_n)
+    marks = list(chain.from_iterable(zip(starts, ends)))
+    # every block below the last holds at least alpha(1) = 7 terms; the
+    # last, cut at max_n, may hold one n, read once for both of its ends
+    single = marks[-2] == marks[-1]
+    if single:
+        marks.pop()
+    floors = _oracle_floors(marks, cap)
+    if single:
+        floors.append(floors[-1])
+    ms = range(1, len(starts) + 1)
+    off = list(compress(ms, map(or_, map(ne, floors[0::2], ms), map(ne, floors[1::2], ms))))
+    if not off:
+        return max_n, []
+    ns: list[int] = []
+    expected: list[int] = []
+    for m in off:
+        block = range(starts[m - 1], ends[m - 1] + 1)
+        ns += block
+        expected += [m] * len(block)
+    floors = _oracle_floors(ns, cap)
+    return max_n, [(n, m, f) for n, m, f in zip(ns, expected, floors) if f != m]

@@ -9,6 +9,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import mpmath as mp
 import numpy as np
@@ -21,11 +22,13 @@ from rootmean.asymptotic import delta_bounds, partial_sum_sqrt_enclosure
 from rootmean.evaluator import (
     _CHUNK,
     _DEFAULT_CAP,
+    _WINDOW,
     _certify,
+    _exact_runs,
     _floor_blocks,
     _oracle_brackets,
     _oracle_mean_many,
-    _run_sums,
+    _oracle_pass,
     fast_mean,
     oracle_mean,
     oracle_sum_sqrt,
@@ -97,7 +100,7 @@ def calls(monkeypatch):
         raise AssertionError("fast_mean reached a summation")
 
     monkeypatch.setattr(_scaled, "partial_sum_enc", bracket)
-    for name in ("oracle_sum_sqrt", "oracle_mean", "_oracle_mean_many", "_oracle_brackets"):
+    for name in ("oracle_sum_sqrt", "oracle_mean", "_oracle_mean_many", "_oracle_pass"):
         monkeypatch.setattr(evaluator, name, summation)
     for name in ("sqrt_prefix", "sum_sqrt_enc"):
         monkeypatch.setattr(_scaled, name, summation)
@@ -566,9 +569,9 @@ class TestSweep:
     def test_expected_table_matches_exact_floor(self):
         # the floor blocks partition [1, 5000] in order, and every n lies in
         # exactly one block, whose m is its exact floor
-        blocks = _floor_blocks(5000)
+        starts, ends = _floor_blocks(5000)
         owner = {}
-        for start, end, m in blocks:
+        for m, (start, end) in enumerate(zip(starts, ends), 1):
             for n in range(start, end + 1):
                 assert n not in owner
                 owner[n] = m
@@ -595,26 +598,46 @@ class TestSweep:
         # block m = 40 (indices first..last into the block, from the end if
         # negative): the sweep must then read every n of that block and
         # report exactly the n a per-n read flags
-        start, end, m = _floor_blocks(10 ** 4)[39]
+        starts, ends = _floor_blocks(10 ** 4)
+        start, end, m = starts[39], ends[39], 40
         block = list(range(start, end + 1))
         bad = block[first : last + 1 or None]
+        reads = []
 
-        def shifted(nu, ns, cap, real=evaluator._oracle_brackets):
-            out = real(nu, ns, cap)
-            for n in bad:
-                if n in out:
-                    lo, hi = out[n]
-                    out[n] = (lo + (n << 54), hi + (n << 54))
-            return out
+        def shifted(nu, ns, cap, real=evaluator._oracle_pass):
+            reads.append(len(ns))
+            totals, charges = real(nu, ns, cap)
+            for i, n in enumerate(ns):
+                if n in bad:
+                    totals[i] += n << 54
+            return totals, charges
 
-        monkeypatch.setattr(evaluator, "_oracle_brackets", shifted)
+        monkeypatch.setattr(evaluator, "_oracle_pass", shifted)
         flagged = []
         for n in range(start, end + 1):
-            lo, hi = shifted(1, [n], evaluator._DEFAULT_CAP)[n]
+            (total,), (charge,) = shifted(1, [n], evaluator._DEFAULT_CAP)
+            lo, hi = total - charge, total + charge
             if lo // (n << 54) == hi // (n << 54) != m:
                 flagged.append((n, m, lo // (n << 54)))
         assert [n for n, _, _ in flagged] == bad
+        reads.clear()
         assert sweep_theorem1(10 ** 4) == (10 ** 4, flagged)
+        assert reads == [len(_block_ends(10 ** 4)), len(block)]  # the ends, then the block
+
+    def test_one_point_last_block_is_checked(self, monkeypatch):
+        # a sweep that stops on the first n of block 41 reads that n once,
+        # as both ends of its block, and still reports a shifted Sigma there
+        max_n = _floor_blocks(10 ** 4)[0][40]
+        starts, ends = _floor_blocks(max_n)
+        assert starts[-1] == ends[-1] == max_n
+        assert sweep_theorem1(max_n) == (max_n, [])
+
+        def shifted(nu, ns, cap, real=evaluator._oracle_pass):
+            totals, charges = real(nu, ns, cap)
+            return [t + (n << 54) * (n == max_n) for n, t in zip(ns, totals)], charges
+
+        monkeypatch.setattr(evaluator, "_oracle_pass", shifted)
+        assert sweep_theorem1(max_n) == (max_n, [(max_n, 41, 42)])
 
 
 def _reference_fold(roots, spacing, total, comp, err):
@@ -674,7 +697,7 @@ def _reference_mean_many(marks):
 
 
 def _block_ends(max_n):
-    return sorted({n for start, end, _ in _floor_blocks(max_n) for n in (start, end)})
+    return sorted({*chain.from_iterable(_floor_blocks(max_n))})
 
 
 # the oracle's chunk boundary and the reference's 2**20 one
@@ -703,6 +726,19 @@ def _exact_sum_is(roots, total):
 
 
 _SPAN = 1 << 20  # many oracle chunks; the span from 10**8 - _SPAN + 1 ends at 10**8
+
+
+def run_sums(roots, cuts):
+    """The exact sums and biased exponents of the runs roots[cuts[i] :
+    cuts[i + 1]], read as the oracle's window reads them: one uint64
+    reduceat of the bit patterns and each run's first and last pattern,
+    checked and shifted by _exact_runs."""
+    bits = roots.view(np.uint64)
+    starts, stops = cuts[:-1], cuts[1:]
+    sums, exps = _exact_runs(
+        np.add.reduceat(bits, starts), stops - starts, bits[starts], bits[stops - 1]
+    )
+    return list(sums), exps.tolist()
 
 
 class TestExactChunkSum:
@@ -737,25 +773,25 @@ class TestExactChunkSum:
         # whose roots span two binades or more, wherever it lies
         top = np.nextafter(2.0, 0.0)  # 2 - 2**-52: f = 2**52 - 1
         full = np.full(2 ** 11, top)
-        sums, exps = _run_sums(full, np.array([0, 2 ** 11]))
+        sums, exps = run_sums(full, np.array([0, 2 ** 11]))
         assert sums == [2 ** 11 * (2 ** 53 - 1) << 2] and exps == [1023]
         assert Fraction(sums[0], 2 ** 54) == 2 ** 11 * Fraction(top)
-        assert _run_sums(np.array([1.0, 1.5, 1024.0]), np.array([0, 2, 3]))[0] == [
+        assert run_sums(np.array([1.0, 1.5, 1024.0]), np.array([0, 2, 3]))[0] == [
             5 << 53, 1024 << 54
         ]
         assert 2 ** 11 * (2 ** 53 - 1) < 2 ** 64 <= (2 ** 11 + 1) * (2 ** 53 - 1)
         overlong = np.full(2 ** 11 + 1, top)
         crossing = [[1.0, 2.0], [1.0, 2048.0], [1.0, 2.0 ** 20], [1.5, np.nextafter(2.0, 3.0)]]
         with pytest.raises(ValueError, match="wrap"):
-            _run_sums(overlong, np.array([0, 2 ** 11 + 1]))
+            run_sums(overlong, np.array([0, 2 ** 11 + 1]))
         with pytest.raises(ValueError, match="wrap"):
-            _run_sums(np.ones(_CHUNK + 1), np.array([0, _CHUNK + 1]))
+            run_sums(np.ones(_CHUNK + 1), np.array([0, _CHUNK + 1]))
         for roots in crossing:
             with pytest.raises(ValueError, match="wrap"):
-                _run_sums(np.array(roots), np.array([0, 2]))
+                run_sums(np.array(roots), np.array([0, 2]))
             # the same run behind a valid one is refused too
             with pytest.raises(ValueError, match="wrap"):
-                _run_sums(np.array([1.0, *roots]), np.array([0, 1, 3]))
+                run_sums(np.array([1.0, *roots]), np.array([0, 1, 3]))
 
     def test_binade_edges_are_powers_of_four(self):
         # the oracle cuts its runs at 4**e: sqrt(4**e) is 2**e exactly and
@@ -887,6 +923,7 @@ def _frozen_oracle_brackets(nu, marks, cap):
 
 
 _EDGE_MARKS = sorted({4 ** j + d for j in range(1, 11) for d in (-1, 0, 1)})
+_SPAN_W = _WINDOW * _CHUNK  # terms per planning window
 
 
 class TestBitIdentity:
@@ -899,11 +936,12 @@ class TestBitIdentity:
             (1, _block_ends(2 ** 21)),
             (1, _EDGE_MARKS),
             (1, [_CHUNK - 1, _CHUNK, _CHUNK + 1]),
+            (1, [_SPAN_W - 1, _SPAN_W, _SPAN_W + 1, 2 * _SPAN_W, 2 * _SPAN_W + 1]),
             (7, [7, 8, 15, 16, 17, *_EDGE_MARKS[6:], _CHUNK + 6, _CHUNK + 7, 10 ** 6]),
             (4 ** 20 - 3, [4 ** 20 + d for d in (-3, -2, -1, 0, 1, 2, _CHUNK, 10 ** 5)]),
             (2 ** 52, [2 ** 52 + 1, 2 ** 52 + _CHUNK - 1, 2 ** 52 + _CHUNK, 2 ** 52 + 10 ** 5 - 1]),
         ],
-        ids=["block-ends-2^21", "binade-edges", "chunk", "nu=7", "nu=4^20-3", "nu=2^52"],
+        ids=["block-ends-2^21", "binade-edges", "chunk", "window", "nu=7", "nu=4^20-3", "nu=2^52"],
     )
     def test_brackets_match_frozen_pass(self, nu, marks):
         new = _oracle_brackets(nu, marks, _DEFAULT_CAP)
@@ -913,8 +951,46 @@ class TestBitIdentity:
     @pytest.mark.parametrize("max_n", [1, 2, 64, 2 ** 14, 2 ** 20 + 5, 2 ** 21])
     def test_sweep_matches_frozen_pass(self, max_n, monkeypatch):
         result = sweep_theorem1(max_n)
-        monkeypatch.setattr(evaluator, "_oracle_brackets", _frozen_oracle_brackets)
+        reads = []
+
+        def frozen(nu, marks, cap):
+            # the frozen brackets in the list reader's form
+            reads.append(len(marks))
+            brackets = _frozen_oracle_brackets(nu, marks, cap)
+            lo, hi = zip(*map(brackets.__getitem__, marks))
+            return [(a + b) // 2 for a, b in zip(lo, hi)], [(b - a) // 2 for a, b in zip(lo, hi)]
+
+        monkeypatch.setattr(evaluator, "_oracle_pass", frozen)
         assert result == sweep_theorem1(max_n)
+        assert reads == [len(_block_ends(max_n))]  # the frozen pass read every block end
+
+    def test_reader_refuses_marks_it_would_misread(self):
+        # the list reader takes its marks as they come: out of order,
+        # repeated, below nu or not integers, they raise rather than being
+        # read as other marks, within a window and across one
+        for nu, marks in [
+            (1, [5, 3]),
+            (1, [4, 4]),
+            (1, [2, 9, 7]),
+            (1, [_SPAN_W + 1, _SPAN_W]),
+            (10, [9, 12]),
+            (10, [10, 11, 11]),
+            (1, [1, 5, -(2 ** 63) + 1, 0, 5]),  # the int64 steps between them wrap
+        ]:
+            with pytest.raises(ValueError, match="increase strictly"):
+                _oracle_pass(nu, marks, _DEFAULT_CAP)
+        for marks in ([2.5, 3.9], [True], [1, 2.0]):
+            with pytest.raises(TypeError):
+                _oracle_pass(1, marks, _DEFAULT_CAP)
+        assert _oracle_pass(1, [], _DEFAULT_CAP) == ([], [])
+        # the dict front sorts and de-duplicates, and still refuses what
+        # is not an exact integer
+        front = _oracle_brackets(1, [9, 3, 9, 5, 3], _DEFAULT_CAP)
+        totals, charges = _oracle_pass(1, [3, 5, 9], _DEFAULT_CAP)
+        assert front == {m: (t - c, t + c) for m, t, c in zip([3, 5, 9], totals, charges)}
+        for marks in ([2.5, 3.9], [True]):
+            with pytest.raises(TypeError):
+                _oracle_brackets(1, marks, _DEFAULT_CAP)
 
 
 def _peak_bytes(n):
@@ -952,8 +1028,9 @@ class TestChunkPartition:
     def test_peak_memory_is_one_chunk(self):
         # the working set is two float64 arrays of one chunk, the ramp and
         # the roots (whose bit patterns are summed in place), made once,
-        # and each chunk's few run-sized arrays: within five arrays, which
-        # fit a 2 MiB L2, whatever the length of the pass
+        # and one window's few run-sized arrays, freed before the next
+        # window is planned: within five arrays, which fit a 2 MiB L2,
+        # whatever the length of the pass
         _peak_bytes(2 ** 12)  # first-call allocations
         bound = 5 * 8 * _CHUNK
         assert bound <= 2 << 20

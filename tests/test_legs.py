@@ -1,0 +1,40 @@
+"""tools/legs.py: per-leg round times of a workload, checked on a small pool."""
+
+import importlib.util
+import json
+import os
+
+from rootmean import evaluator
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+spec = importlib.util.spec_from_file_location("legs", os.path.join(ROOT, "tools", "legs.py"))
+legs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(legs)
+
+
+def test_sweep_legs_on_a_two_query_pool():
+    import rootmean
+
+    calls = legs.bench_module(ROOT, "worker")._calls(rootmean)
+    names = [*legs.LEGS["sweep"], "evaluator._no_such_leg"]
+    before = {name: getattr(evaluator, name.split(".")[1], None) for name in names}
+    result = legs.time_legs(rootmean, calls, [["sweep", 3000], ["sweep", 70000]], names, 2)
+    assert result["rounds"] == 2 and result["queries"] == 2
+    assert result["absent"] == ["evaluator._no_such_leg"]
+    times = result["legs"]
+    assert sorted(times) == sorted(legs.LEGS["sweep"])
+    # each leg ran, and the oracle pass runs inside _oracle_floors
+    assert all(ms > 0 for ms in times.values())
+    assert times["evaluator._oracle_pass"] <= times["evaluator._oracle_floors"]
+    outer = times["evaluator._oracle_floors"] + times["evaluator._floor_blocks"]
+    assert outer <= result["round_ms"]
+    # every wrapper is taken off again
+    assert {name: getattr(evaluator, name.split(".")[1], None) for name in names} == before
+
+
+def test_cli_prints_one_json_line(capsys):
+    assert legs.main(["--workload", "mean_loose", "--seed", "3", "--rounds", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["workload"], out["seed"], out["rounds"]) == ("mean_loose", 3, 1)
+    assert sorted(out["legs"]) == sorted(legs.MEAN_LEGS) and out["absent"] == []
+    assert out["round_ms"] > 0
