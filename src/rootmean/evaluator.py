@@ -18,17 +18,21 @@ without a conversion (_exact_runs).  The runs are planned a window of
 chunks at a time (_oracle_window): one sorted array of cuts per window,
 and after its chunks one vectorised check, one exact prefix and one
 lookup of the marks, so no Python runs per chunk beyond the numpy calls.
-Each term is charged half a spacing of its segment's largest root: an
-integer bracket of 2**54 times the sum at each mark, whose midpoint is the
-exact sum of the rounded roots, returned as two lists aligned with the
-marks; _oracle_brackets is its front for marks in any order.  Every
-oracle answer is that bracket rounded outward once.  sweep_theorem1 checks
-Theorem 1, floor(Sigma(n)) = floor(A(n)), for every n up to a limit by
-reading the bracket only at the two ends of each block on which
-floor(A(n)) is constant, and takes the floors in integers: Sigma(n)
-increases, so the ends pin the block.  The oracle is the only code here
-that loads numpy, and it refuses a pass over more than cap terms (10**8
-unless the caller says otherwise).
+Each rounded root is charged its own half spacing: no run crosses a
+binade, so all roots of a run share one.  That gives an integer bracket
+of 2**54 times the sum at each mark, whose midpoint is the exact sum of
+the rounded roots and whose half-width is half the sum of their
+spacings, which no chunk, window or mark placement can move; it is
+returned as two lists aligned with the marks, and _oracle_brackets is
+its front for marks in any order.  Every oracle answer is that bracket
+rounded outward once.  sweep_theorem1 checks Theorem 1, floor(Sigma(n)) =
+floor(A(n)), for every n up to a limit by reading the bracket only at the
+two ends of each block on which floor(A(n)) is constant, and takes the
+floors in integers: Sigma(n) increases, so the ends pin the block; an
+end whose bracket straddles an integer is decided by the Euler-Maclaurin
+bracket instead.  The oracle is the only code here that loads numpy, and
+it refuses a pass over more than cap terms (10**8 unless the caller says
+otherwise).
 """
 
 from __future__ import annotations
@@ -56,11 +60,10 @@ __all__ = [
     "sweep_theorem1",
 ]
 
-# Roots per oracle chunk.  The sums are exact integers, so the partition
-# changes no midpoint: it sets the working set, two float64 arrays of
-# _CHUNK made once per pass (the ramp and the roots, whose bit patterns
-# are summed in place: 512 KiB, inside a 2 MiB L2), and where the charges
-# are read: a segment ends at each mark and at each chunk's end.  Of
+# Roots per oracle chunk.  The sums and charges are exact integers, so
+# the partition changes no bracket: it sets the working set, two float64
+# arrays of _CHUNK made once per pass (the ramp and the roots, whose bit
+# patterns are summed in place: 512 KiB, inside a 2 MiB L2).  Of
 # 2**12..2**20, 2**15-2**17 ran the sweep pool fastest on 2 cores; 2**15
 # holds the least.
 _CHUNK = 1 << 15
@@ -141,11 +144,11 @@ def _oracle_window(a, n, ends, ramp, buf, total, charge, totals, charges):
     every chunk end is among them.  The chunk loop then takes the roots in
     buf and sums each run of them that starts in the chunk with one uint64
     reduceat of their bit patterns, and gathers each run's first and last
-    bit pattern.  _exact_runs checks and reads the runs, and one accumulate
-    gives the exact prefix at every cut.  Each segment of a chunk, up to a
-    mark or to the chunk's end, is charged half a spacing per term of its
-    last, largest root: 2**(E - 1022) units for a root of biased exponent
-    E.  a + ramp is exact since a + n - 1 <= 2**53."""
+    bit pattern.  _exact_runs checks and reads the runs, and two
+    accumulates give the exact prefix and the charge at every cut.  Each
+    root is charged its own half spacing, 2**(E - 1022) units for a root of
+    biased exponent E; the roots of a run share E, as _exact_runs checks.
+    a + ramp is exact since a + n - 1 <= 2**53."""
     import numpy as np
 
     bounds = [*range(0, n, _CHUNK), n]  # the chunks' starts and the window's end
@@ -167,19 +170,12 @@ def _oracle_window(a, n, ends, ramp, buf, total, charge, totals, charges):
         last[i:j] = bits[lasts[i:j]]
     sums, exps = _exact_runs(raw, counts, first, last)
     prefix = list(accumulate(sums, initial=total))
-    # each segment's end; one that is both a mark's and a chunk's is
-    # charged once, the copy's step being 0
-    segs = np.concatenate((ends, bounds[1:]))
-    segs.sort()
-    at = np.searchsorted(cuts, segs)  # the runs before each
-    lengths = segs.copy()
-    lengths[1:] -= segs[:-1]
-    # at most n 2**27 units: roots stay below 2**27 for k <= 2**53
-    steps = np.cumsum(lengths << (exps[at - 1] - 1022))
-    own = np.searchsorted(segs, ends)
-    totals.extend(map(prefix.__getitem__, at[own].tolist()))
-    charges.extend(map(charge.__add__, steps[own].tolist()))
-    return prefix[-1], charge + int(steps[-1])
+    # at most _RUN 2**27 units per run: roots stay below 2**27 for k <= 2**53
+    spent = list(accumulate((counts << (exps - 1022)).tolist(), initial=charge))
+    at = np.searchsorted(cuts, ends).tolist()  # the runs before each mark's end
+    totals.extend(map(prefix.__getitem__, at))
+    charges.extend(map(spent.__getitem__, at))
+    return prefix[-1], spent[-1]
 
 
 def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
@@ -187,10 +183,11 @@ def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
     total - charge <= 2**54 sum_{k=nu}^{m} sqrt(k) <= total + charge, in
     one pass over fixed chunks of _CHUNK terms, planned _WINDOW chunks at
     a time (_oracle_window).  The midpoint total is the exact sum of the
-    correctly rounded roots and the half-width charge their spacings' half
-    up to m.  The marks must be exact integers that strictly increase from
-    nu >= 1; anything else is refused, never misread.  The chunk's arrays
-    are made once and reused, so the pass stays in cache.  The one
+    correctly rounded roots and the half-width charge half the sum of their
+    spacings, np.spacing(fl(sqrt(k))) for k = nu .. m, whatever the chunks
+    and windows.  The marks must be exact integers that strictly increase
+    from nu >= 1; anything else is refused, never misread.  The chunk's
+    arrays are made once and reused, so the pass stays in cache.  The one
     summation reader of the oracle."""
     if not len(marks):
         return [], []
@@ -239,16 +236,15 @@ def oracle_sum_sqrt(nu: int, n: int, *, cap: int = _DEFAULT_CAP) -> Enclosure:
     """Ground-truth enclosure of sum_{k=nu}^{n} sqrt(k) by direct summation:
     the exact integer bracket of _oracle_brackets, rounded outward once."""
     nu = _as_index(nu, name="nu")
-    n = _as_index(n)
-    lo, hi = _oracle_brackets(nu, [n], cap)[n]
+    ((lo, hi),) = _oracle_brackets(nu, [n], cap).values()
     return _outward(lo, hi, _ORACLE_ONE)
 
 
 def oracle_mean(n: int, *, cap: int = _DEFAULT_CAP) -> Enclosure:
     """Enclosure of the mean Sigma(n): the oracle's integer bracket of the
     sum over [1, n], divided by n 2**54 and rounded outward once."""
-    n = _as_index(n)
-    return _oracle_mean_many([n], cap=cap)[n]
+    (enc,) = _oracle_mean_many([n], cap=cap).values()
+    return enc
 
 
 class ErrorBudget(NamedTuple):
@@ -401,7 +397,8 @@ def _floor_blocks(max_n: int) -> "tuple[list[int], list[int]]":
 def _oracle_floors(marks, cap: int) -> "list[int]":
     """floor(Sigma(n)) at each mark n, which must strictly increase from 1:
     from the oracle's integer bracket, or, where the bracket straddles an
-    integer, from an exact scaled-integer prefix."""
+    integer, from the Euler-Maclaurin bracket _scaled.partial_sum_enc(n),
+    one O(1) read proven independently of the summation."""
     totals, charges = _oracle_pass(1, marks, cap)
     # floor(x / (n 2**54)) = floor(floor(x / 2**54) / n) for integers x
     floors = list(map(floordiv, map(rshift, map(sub, totals, charges), repeat(54)), marks))
@@ -411,18 +408,16 @@ def _oracle_floors(marks, cap: int) -> "list[int]":
         raise AssertionError(
             f"{len(undecided)} straddling prefixes: error bounds degenerate"
         )
-    if undecided:
-        prefix = _scaled.sqrt_prefix(marks[undecided[-1]])
-        for i in undecided:
-            n_i = marks[i]
-            s_lo, s_hi = _scaled.sum_sqrt_enc(prefix, 1, n_i)
-            denom = n_i * _scaled.ONE
-            f_lo, f_hi = s_lo // denom, s_hi // denom
-            if f_lo != f_hi:
-                raise AssertionError(
-                    f"scaled prefix cannot separate the mean at n={n_i}"
-                )
-            floors[i] = f_lo
+    for i in undecided:
+        n_i = marks[i]
+        s_lo, s_hi = _scaled.partial_sum_enc(n_i)
+        denom = n_i * _scaled.ONE
+        f_lo, f_hi = s_lo // denom, s_hi // denom
+        if f_lo != f_hi:
+            raise AssertionError(
+                f"Euler-Maclaurin bracket cannot separate the mean at n={n_i}"
+            )
+        floors[i] = f_lo
     return floors
 
 
@@ -442,13 +437,14 @@ def sweep_theorem1(
     the mismatches are those a per-n check reports.
 
     An end whose bracket straddles an integer (n=1 does: Sigma(1) is
-    exactly 1) is decided by an exact scaled-integer prefix instead.  The
-    block ends are the n whose means lie closest to the integers, and for
-    max_n = 2**21 the integer mean brackets there are at most 1.6e-13 wide
-    (3.4e-13 once rounded outward to binary64), against a smallest
-    distance to an integer of 5.7e-5 (n = 2095255; 8.3e-5 at n = 995005
-    within 10**6), so straddles beyond n=1 would signal degenerate bounds
-    and fail loudly (more than 64 of them raise).
+    exactly 1) is decided instead by the Euler-Maclaurin bracket
+    _scaled.partial_sum_enc(n), O(1) per end and far narrower on the mean
+    than the oracle's.  The block ends are the n whose means lie closest to
+    the integers, and for max_n = 2**21 the integer mean brackets there are
+    at most 1.6e-13 wide (3.4e-13 once rounded outward to binary64),
+    against a smallest distance to an integer of 5.7e-5 (n = 2095255;
+    8.3e-5 at n = 995005 within 10**6), so straddles beyond n=1 would
+    signal degenerate bounds and fail loudly (more than 64 of them raise).
     """
     max_n = _as_index(max_n, name="max_n")
     _check_float_range(max_n, "max_n")

@@ -377,7 +377,7 @@ class TestFastMean:
             (10 ** 7, 2.5e-13),
         ],
     )
-    def test_below_readout_floor_fails_fast(self, calls, n, epsilon):
+    def test_epsilon_near_one_ulp_certifies_or_fails_fast(self, calls, n, epsilon):
         # epsilon near or under ulp(value): the readout is charged its exact
         # error, at most half an ulp, so these either certify or fail with
         # the achieved bound, after one integer bracket and no summation
@@ -592,6 +592,56 @@ class TestSweep:
         with pytest.raises(ValueError, match="cap"):
             sweep_theorem1(100, cap=10)
 
+    @pytest.fixture
+    def straddled(self, monkeypatch):
+        """Counts the Euler-Maclaurin brackets the sweep reads; building an
+        exact prefix raises."""
+        reads = []
+
+        def bracket(n, real=_scaled.partial_sum_enc):
+            reads.append(n)
+            return real(n)
+
+        def prefix(*args):
+            raise AssertionError("the sweep built an exact prefix")
+
+        monkeypatch.setattr(_scaled, "partial_sum_enc", bracket)
+        monkeypatch.setattr(_scaled, "sqrt_prefix", prefix)
+        return reads
+
+    def test_straddling_block_end_is_decided_by_euler_maclaurin(self, monkeypatch, straddled):
+        # a reader whose bracket at the end of block m = 40 is widened
+        # until it straddles 41: the sweep decides that end, and n = 1,
+        # from one O(1) Euler-Maclaurin bracket each, and builds no prefix
+        end = _floor_blocks(10 ** 4)[1][39]
+        seen = []
+
+        def widened(nu, ns, cap, real=evaluator._oracle_pass):
+            totals, charges = real(nu, ns, cap)
+            i = ns.index(end)
+            charges[i] = abs(totals[i] - (41 * end << 54)) + 1
+            lo, hi = totals[i] - charges[i], totals[i] + charges[i]
+            seen.append((lo // (end << 54), hi // (end << 54)))
+            return totals, charges
+
+        monkeypatch.setattr(evaluator, "_oracle_pass", widened)
+        assert sweep_theorem1(10 ** 4) == (10 ** 4, [])
+        assert seen == [(40, 41)]
+        assert straddled == [1, end]
+
+    def test_more_than_64_straddles_raise(self, monkeypatch, straddled):
+        # a reader whose every bracket reaches from 0 to twice the sum
+        # straddles at each of the 132 block ends up to 10**4: degenerate
+        # bounds fail loudly before any end is decided
+        def degenerate(nu, ns, cap, real=evaluator._oracle_pass):
+            totals, _ = real(nu, ns, cap)
+            return totals, totals
+
+        monkeypatch.setattr(evaluator, "_oracle_pass", degenerate)
+        with pytest.raises(AssertionError, match="straddling"):
+            sweep_theorem1(10 ** 4)
+        assert straddled == []
+
     @pytest.mark.parametrize("first,last", [(-1, -1), (-4, -1), (0, 1)])
     def test_disagreeing_block_end_is_localized(self, monkeypatch, first, last):
         # a reader that shifts Sigma(n) up by one for some n at one end of
@@ -804,8 +854,8 @@ class TestExactChunkSum:
 
     @pytest.mark.parametrize("start", [1, _CHUNK + 1, 2 ** 20 + 1])
     def test_spacing_sums_match_cumsum(self, start):
-        # each mark is charged at least half a spacing per rounded root,
-        # across chunk boundaries too
+        # each mark is charged exactly half the spacing of every rounded
+        # root up to it, across chunk boundaries too
         count = _SPAN + _SPAN // 2
         roots = np.sqrt(np.arange(start, start + count, dtype=np.float64))
         edges = [1, 2, 3, _CHUNK - 1, _CHUNK, _SPAN - 1, _SPAN, count - 1]
@@ -814,7 +864,7 @@ class TestExactChunkSum:
         spacings = np.cumsum(np.spacing(roots))[idx]
         for i, spacing in zip(idx.tolist(), spacings.tolist()):
             lo, hi = brackets[start + i]
-            assert Fraction(hi - lo, 2 << 54) >= Fraction(spacing) / 2
+            assert Fraction(hi - lo, 2 << 54) == Fraction(spacing) / 2
 
 
 class TestOracleMeanMany:
@@ -927,8 +977,10 @@ _SPAN_W = _WINDOW * _CHUNK  # terms per planning window
 
 
 class TestBitIdentity:
-    """The bit-pattern kernel gives the frozen int64 pass's brackets exactly:
-    the same midpoint and the same half-width at every mark."""
+    """The bit-pattern kernel gives the frozen int64 pass's midpoint exactly
+    at every mark, and a half-width that is exactly half the sum of the
+    rounded roots' spacings up to the mark, never above the frozen pass's
+    (which charged each segment its last root's spacing)."""
 
     @pytest.mark.parametrize(
         "nu, marks",
@@ -945,8 +997,17 @@ class TestBitIdentity:
     )
     def test_brackets_match_frozen_pass(self, nu, marks):
         new = _oracle_brackets(nu, marks, _DEFAULT_CAP)
-        assert new == _frozen_oracle_brackets(nu, marks, _DEFAULT_CAP)
+        frozen = _frozen_oracle_brackets(nu, marks, _DEFAULT_CAP)
+        assert new.keys() == frozen.keys()
         assert sorted(new) == sorted(set(marks))
+        roots = np.sqrt(np.arange(nu, max(marks) + 1, dtype=np.float64))
+        # half a spacing in units of 2**-54: an exact integer <= 2**27
+        half = np.cumsum((np.spacing(roots) * 2 ** 53).astype(np.int64)).tolist()
+        for m, (lo, hi) in new.items():
+            f_lo, f_hi = frozen[m]
+            assert lo + hi == f_lo + f_hi, m
+            assert hi - lo <= f_hi - f_lo, m
+            assert hi - lo == 2 * half[m - nu], m
 
     @pytest.mark.parametrize("max_n", [1, 2, 64, 2 ** 14, 2 ** 20 + 5, 2 ** 21])
     def test_sweep_matches_frozen_pass(self, max_n, monkeypatch):
@@ -1005,10 +1066,9 @@ def _peak_bytes(n):
 
 class TestChunkPartition:
     def test_partition_keeps_midpoints_and_never_widens(self, monkeypatch):
-        # the partition only refines where charges are read: at every block
-        # end up to 2**21 and around every multiple of 2**12, the midpoint
-        # is the same for every chunk size, and the half-width can only
-        # shrink with the chunk (2**12 refines 2**15, which refines 2**20)
+        # each root is charged its own half spacing, so the partition moves
+        # no bracket: at every block end up to 2**21 and around every
+        # multiple of 2**12, the brackets are identical for every chunk size
         marks = set(_block_ends(2 ** 21))
         for k in range(1 << 12, 2 ** 21 + 1, 1 << 12):
             marks.update((k - 1, k, k + 1))
@@ -1017,13 +1077,9 @@ class TestChunkPartition:
         for size in (1 << 20, _CHUNK, 1 << 12):
             monkeypatch.setattr(evaluator, "_CHUNK", size)
             brackets.append(_oracle_brackets(1, marks, _DEFAULT_CAP))
-        coarse, *finer = brackets
-        for fine in finer:
-            for n in marks:
-                (c_lo, c_hi), (f_lo, f_hi) = coarse[n], fine[n]
-                assert f_lo + f_hi == c_lo + c_hi, n
-                assert f_hi - f_lo <= c_hi - c_lo, n
-            coarse = fine
+        first, *others = brackets
+        assert sorted(first) == marks
+        assert all(other == first for other in others)
 
     def test_peak_memory_is_one_chunk(self):
         # the working set is two float64 arrays of one chunk, the ramp and
