@@ -11,13 +11,14 @@ remainder recovery
 
 the operands reach ~2e7 while the admissible bracket margin shrinks like
 nu^(-3/2) (below 1e-12 for nu near n <= 1e5), so a single rounding of the
-main term already overwhelms the comparison.  Scaled integers have no such
-limit: at 2**96 scale the bracket widths stay ~24*(n - nu) units, about
-3e-23 in real terms over the ranges exercised here.
+main term already overwhelms the comparison.
 
-partial_sum_enc brackets the whole sum sum_{k=1}^{n} sqrt(k) the same way
-for any n: an exact 63-term head, an import-time bracket of zeta(-1/2), and
-the n-side Euler-Maclaurin terms, each a rational times sqrt_enc(n).
+partial_sum_enc brackets the whole sum sum_{k=1}^{n} sqrt(k) for any n: an
+exact 63-term head, an import-time bracket of zeta(-1/2), and the n-side
+Euler-Maclaurin terms, each a rational times sqrt_enc(n).  delta_enc takes
+the difference of two such brackets, about 32 (n + nu) units wide: 8e-22
+at n = 10**6, where the containment margin at nu = n - 1 is 1.5e-15.  That
+margin falls like n**(-5/2) and meets the width near n = 10**8.
 
 Internal module; the public floating-point API lives in asymptotic and
 evaluator.
@@ -77,39 +78,18 @@ def head_enc(nu: int) -> tuple[int, int]:
     return _div6(t * s_lo, t * s_hi)
 
 
-def sqrt_prefix(limit: int) -> list[int]:
-    """prefix[j] = sum_{k=1}^{j} floor(sqrt(k) * 2**BITS), prefix[0] = 0.
-
-    Each term undershoots its real value by < 1 scaled unit, so partial sums
-    recovered from the prefix carry a bracket of exactly the term count.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    out = [0] * (limit + 1)
-    acc = 0
-    for k in range(1, limit + 1):
-        acc += math.isqrt(k << _SQ_SHIFT)
-        out[k] = acc
-    return out
-
-
-def sum_sqrt_enc(prefix: list[int], a: int, b: int) -> tuple[int, int]:
-    """Bracket of sum_{k=a}^{b} sqrt(k) * 2**BITS from a sqrt_prefix table."""
-    if not 1 <= a <= b < len(prefix):
-        raise ValueError(f"need 1 <= a <= b <= {len(prefix) - 1}, got a={a}, b={b}")
-    s = prefix[b] - prefix[a - 1]
-    return s, s + (b - a + 1)
-
-
-def delta_enc(prefix: list[int], nu: int, n: int) -> tuple[int, int]:
+def delta_enc(nu: int, n: int) -> tuple[int, int]:
     """Bracket of the recovered remainder
     delta = 24 (n A(n) - (2/3) sqrt(nu)(nu - 3/4) - sum_{k=nu}^{n} sqrt(k)),
-    scaled by 2**BITS; needs nu < n."""
-    if nu >= n:
-        raise ValueError(f"need nu < n, got nu={nu}, n={n}")
+    scaled by 2**BITS; needs 1 <= nu < n.  The sum is S(n) - S(nu - 1), with
+    S = partial_sum_enc and S(0) = 0: O(1) integer operations at any n."""
+    if not 1 <= nu < n:
+        raise ValueError(f"need 1 <= nu < n, got nu={nu}, n={n}")
     a_lo, a_hi = nA_enc(n)
     h_lo, h_hi = head_enc(nu)
-    s_lo, s_hi = sum_sqrt_enc(prefix, nu, n)
+    t_lo, t_hi = partial_sum_enc(n)
+    b_lo, b_hi = partial_sum_enc(nu - 1) if nu > 1 else (0, 0)
+    s_lo, s_hi = t_lo - b_hi, t_hi - b_lo
     return 24 * (a_lo - h_hi - s_hi), 24 * (a_hi - h_lo - s_lo)
 
 
@@ -176,7 +156,9 @@ def _closure_enc(x: int) -> tuple[int, int]:
     return s_lo * num // den, -((-s_hi * num) // den)
 
 
-_HEAD = sqrt_prefix(HEAD_END - 1)
+_HEAD = [0]  # [j]: sum_{k<=j} floor(sqrt(k) * 2**BITS), < j units under the sum
+for _k in range(1, HEAD_END):
+    _HEAD.append(_HEAD[-1] + sqrt_enc(_k)[0])
 
 
 def _zeta_enc() -> tuple[int, int]:

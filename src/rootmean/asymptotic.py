@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from . import _scaled
@@ -271,8 +272,13 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
         raise ValueError("need nu < n")
     rv = order.r
     if rv == 1.0:
-        # exact integer series: no floating evaluation, so no width limit
+        # exact integer series: no width limit, but binary64 endpoints
         exact = (n * (n + 1) - nu * (nu - 1)) // 2
+        if exact > sys.float_info.max:
+            raise ValueError(
+                "sum exceeds binary64's largest finite value, about 1.8e308: "
+                "`rootmean sum --root 1` prints its exact digits"
+            )
         return _outward(exact, exact)
     _check_float_range(n)
     if rv == 2.0:

@@ -141,13 +141,13 @@ def _verify_theorem1(max_n: int, cap: int):
 
 def _verify_delta(max_n: int, cap: int):
     """Exact scaled-integer containment sigma(nu+2,n+2) < delta_{nu,n} <
-    sigma(nu,n) on sampled pairs, plus delta_{1,n} < 3/2."""
+    sigma(nu,n) on sampled pairs, plus delta_{1,n} < 3/2, each delta from
+    _scaled.delta_enc in O(1); its bracket stops deciding near n = 10**8."""
     if max_n < 2:
         raise ValueError("delta mode needs --max-n >= 2")
     if max_n > 1_000_000:
-        raise ValueError("delta mode builds an exact prefix; --max-n <= 10**6")
+        raise ValueError("delta mode's bracket stops deciding near 10**8; --max-n <= 10**6")
     rng = random.Random(max_n)
-    prefix = _scaled.sqrt_prefix(max_n)
     pairs = {(1, 2), (1, max_n), (max_n - 1, max_n)}
     while len(pairs) < min(1000, max_n * (max_n - 1) // 2):
         n = rng.randrange(2, max_n + 1)
@@ -155,7 +155,7 @@ def _verify_delta(max_n: int, cap: int):
     half = 3 * _scaled.ONE // 2
     failures = []
     for nu, n in sorted(pairs):
-        d_lo, d_hi = _scaled.delta_enc(prefix, nu, n)
+        d_lo, d_hi = _scaled.delta_enc(nu, n)
         s_lo, _ = _scaled.sigma_enc(nu, n)
         _, s2_hi = _scaled.sigma_enc(nu + 2, n + 2)
         ok = s2_hi < d_lo and d_hi < s_lo and (nu != 1 or d_hi < half)

@@ -95,19 +95,18 @@ class TestAcceptance:
     def test_4_remainder_containment(self):
         rng = random.Random(41)
         limit = 100_000
-        prefix = _scaled.sqrt_prefix(limit)
         half3 = 3 * _scaled.ONE // 2
         pairs = 1_000
         for _ in range(pairs):
             nu = rng.randrange(1, limit)
             n = rng.randrange(nu + 1, limit + 1)
-            d_lo, d_hi = _scaled.delta_enc(prefix, nu, n)
+            d_lo, d_hi = _scaled.delta_enc(nu, n)
             _, inner_hi = _scaled.sigma_enc(nu + 2, n + 2)
             outer_lo, _ = _scaled.sigma_enc(nu, n)
             # strict containment, decided in exact scaled integers
             assert inner_hi < d_lo, (nu, n)
             assert d_hi < outer_lo, (nu, n)
-            _, d1_hi = _scaled.delta_enc(prefix, 1, n)
+            _, d1_hi = _scaled.delta_enc(1, n)
             assert d1_hi < half3, n
 
         _report(

@@ -308,6 +308,16 @@ class TestPartialSumRoot:
         assert e.lo <= exact <= e.hi
         assert e.width() <= math.ulp(e.hi)
 
+    def test_r1_refuses_a_sum_past_binary64(self):
+        # about 2**1019: the endpoints are finite and hold the exact series
+        n = 2 ** 510
+        e = partial_sum_root_enclosure(1, n, 1)
+        assert math.isfinite(e.hi)
+        assert e.lo <= n * (n + 1) // 2 <= e.hi
+        # about 2**1199: no binary64 holds it, and the message says so
+        with pytest.raises(ValueError, match="largest finite.*--root 1"):
+            partial_sum_root_enclosure(1, 2 ** 600, 1)
+
     @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=9999), st.integers(min_value=2, max_value=10 ** 4))
     def test_r2_identical_to_sqrt_path(self, nu, n):

@@ -60,3 +60,37 @@ def test_three_seeds_give_inclusive_quartiles_and_wins():
 @pytest.mark.parametrize("text, seeds", [("7", [7]), ("1001-1003", [1001, 1002, 1003])])
 def test_seed_ranges(text, seeds):
     assert bench_pairs._seeds(text) == seeds
+
+
+def _flags(parent, change):
+    """The (regressed, unresolved) flags of each metric, for three pairs of
+    (queries_per_s, peak_rss_mib) runs per side."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change), 1):
+        runs += [_run(seed, "parent", *p), _run(seed, "change", *c)]
+    metrics = bench_pairs.summarise(BENCH, runs, [1, 2, 3])["workloads"]["sweep"]["metrics"]
+    return {m: (row["regressed"], row["unresolved"]) for m, row in metrics.items()}
+
+
+def test_median_worse_than_the_bound_is_regressed():
+    # queries/s 30% lower (bound 0.25), RSS 20% higher (bound 0.15): each
+    # direction of "worse" sets the flag
+    flags = _flags([(100.0, 30.0)] * 3, [(70.0, 36.0)] * 3)
+    assert flags == {"queries_per_s": (True, False), "peak_rss_mib": (True, False)}
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved():
+    # queries/s quartiles 80 and 120 around a median of 100: a spread of
+    # 0.4 against a bound of 0.25, whatever the change reads
+    parent = [(60.0, 30.0), (100.0, 30.0), (140.0, 30.0)]
+    flags = _flags(parent, [(100.0, 30.0)] * 3)
+    assert flags == {"queries_per_s": (False, True), "peak_rss_mib": (False, False)}
+
+
+def test_change_within_the_bound_sets_neither_flag():
+    # 10% slower and 10% more memory, both inside their bounds, over
+    # parent runs that spread 2%
+    parent = [(98.0, 30.0), (100.0, 30.3), (102.0, 29.7)]
+    change = [(88.0, 33.0), (90.0, 33.3), (92.0, 32.7)]
+    flags = _flags(parent, change)
+    assert flags == {"queries_per_s": (False, False), "peak_rss_mib": (False, False)}

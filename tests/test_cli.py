@@ -223,7 +223,13 @@ class TestSum:
 class TestVerify:
     @pytest.mark.parametrize(
         "mode,max_n",
-        [("theorem1", "2000"), ("delta", "60"), ("lemma2", "5000"), ("lemma3", "40")],
+        [
+            ("theorem1", "2000"),
+            ("delta", "60"),
+            ("delta", "1000000"),
+            ("lemma2", "5000"),
+            ("lemma3", "40"),
+        ],
     )
     def test_modes_pass(self, capsys, mode, max_n):
         code, out, err = run_cli(capsys, "verify", "--max-n", max_n, "--mode", mode)
@@ -246,7 +252,7 @@ class TestVerify:
         assert rec["counterexample_n"] == "5"
         assert rec["got"] == "floor 2"
 
-    def test_delta_mode_requires_buildable_prefix(self, capsys):
+    def test_delta_mode_is_bounded(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--max-n", "2000000", "--mode", "delta"
         )

@@ -87,8 +87,8 @@ def mp_mean(n: int) -> mp.mpf:
 @pytest.fixture
 def calls(monkeypatch):
     """Counts the integer brackets fast_mean reads (_scaled.partial_sum_enc)
-    and the calls it makes into any summation: the oracle's entry points
-    and the exact prefix sums.  A summation call also raises."""
+    and the calls it makes into any summation, the oracle's entry points.
+    A summation call also raises."""
     counts = {"bracket": 0, "summation": 0}
 
     def bracket(n, real=_scaled.partial_sum_enc):
@@ -102,8 +102,6 @@ def calls(monkeypatch):
     monkeypatch.setattr(_scaled, "partial_sum_enc", bracket)
     for name in ("oracle_sum_sqrt", "oracle_mean", "_oracle_mean_many", "_oracle_pass"):
         monkeypatch.setattr(evaluator, name, summation)
-    for name in ("sqrt_prefix", "sum_sqrt_enc"):
-        monkeypatch.setattr(_scaled, name, summation)
     return counts
 
 
@@ -381,9 +379,8 @@ class TestFastMean:
         # epsilon near or under ulp(value): the readout is charged its exact
         # error, at most half an ulp, so these either certify or fail with
         # the achieved bound, after one integer bracket and no summation
-        # (neither the oracle nor an exact prefix is reached).  (10**12,
-        # 8e-11) and (10**7, 2.5e-13) lie between half an ulp and one ulp
-        # of Sigma(n)
+        # (the oracle is not reached).  (10**12, 8e-11) and (10**7,
+        # 2.5e-13) lie between half an ulp and one ulp of Sigma(n)
         try:
             r = counted_fast_mean(calls, n, epsilon)
         except ValueError as exc:
@@ -455,16 +452,17 @@ class TestFastMean:
     @pytest.mark.parametrize("n", [5, 100, 3000])
     def test_forced_nu_extremes_contain_truth(self, n):
         # the paper's route at the shortest and the longest heads: the exact
-        # prefix over 1..nu-1 (one unit of 2**-96 per term) plus the
-        # closed-form enclosure of nu..n, against mpmath and fast_mean
+        # sum of floored roots over 1..nu-1 (one unit of 2**-96 per term)
+        # plus the closed-form enclosure of nu..n, against mpmath and
+        # fast_mean
         truth = mp_sqrt_sum(1, n)
-        prefix = _scaled.sqrt_prefix(n)
         fast = fast_mean(n, 1e-2)
         with mp.workdps(60):
             for nu in sorted({1, 2, n - 3, n - 2}):
+                head = sum(_scaled.sqrt_enc(k)[0] for k in range(1, nu))
                 tail = partial_sum_sqrt_enclosure(nu, n)
-                lo = mp.mpf(prefix[nu - 1]) / _scaled.ONE + mp.mpf(tail.lo)
-                hi = mp.mpf(prefix[nu - 1] + nu - 1) / _scaled.ONE + mp.mpf(tail.hi)
+                lo = mp.mpf(head) / _scaled.ONE + mp.mpf(tail.lo)
+                hi = mp.mpf(head + nu - 1) / _scaled.ONE + mp.mpf(tail.hi)
                 assert lo <= truth <= hi, nu
                 assert lo / n <= mp.mpf(fast.value) + mp.mpf(fast.error_bound), nu
                 assert hi / n >= mp.mpf(fast.value) - mp.mpf(fast.error_bound), nu
@@ -528,20 +526,15 @@ class TestFastMean:
             fast_mean(True, 0.5)
 
 
-@functools.lru_cache(maxsize=1)
-def exact_prefix(limit: int) -> "list[int]":
-    return _scaled.sqrt_prefix(limit)
-
-
 class TestMeanDecomposition:
     """The mean identity Sigma(n) = A(n) - 1/(6n) - delta_{1,n}/(24n): the
-    remainder delta_{1,n} recovered exactly in 2**96-scaled integers
+    remainder delta_{1,n} bracketed in 2**96-scaled integers
     (_scaled.delta_enc, as `verify --mode delta` does) lies strictly inside
     its elementary bracket (delta_bounds(1, n)) and below 3/2."""
 
     @staticmethod
     def recover(n):
-        d_lo, d_hi = _scaled.delta_enc(exact_prefix(200_000), 1, n)
+        d_lo, d_hi = _scaled.delta_enc(1, n)
         return Fraction(d_lo, _scaled.ONE), Fraction(d_hi, _scaled.ONE)
 
     def test_frozen_recovery(self):
@@ -562,7 +555,7 @@ class TestMeanDecomposition:
 
     def test_needs_two_terms(self):
         with pytest.raises(ValueError):
-            _scaled.delta_enc(exact_prefix(200_000), 1, 1)
+            _scaled.delta_enc(1, 1)
 
 
 class TestSweep:
@@ -594,25 +587,20 @@ class TestSweep:
 
     @pytest.fixture
     def straddled(self, monkeypatch):
-        """Counts the Euler-Maclaurin brackets the sweep reads; building an
-        exact prefix raises."""
+        """Counts the Euler-Maclaurin brackets the sweep reads."""
         reads = []
 
         def bracket(n, real=_scaled.partial_sum_enc):
             reads.append(n)
             return real(n)
 
-        def prefix(*args):
-            raise AssertionError("the sweep built an exact prefix")
-
         monkeypatch.setattr(_scaled, "partial_sum_enc", bracket)
-        monkeypatch.setattr(_scaled, "sqrt_prefix", prefix)
         return reads
 
     def test_straddling_block_end_is_decided_by_euler_maclaurin(self, monkeypatch, straddled):
         # a reader whose bracket at the end of block m = 40 is widened
         # until it straddles 41: the sweep decides that end, and n = 1,
-        # from one O(1) Euler-Maclaurin bracket each, and builds no prefix
+        # from one O(1) Euler-Maclaurin bracket each
         end = _floor_blocks(10 ** 4)[1][39]
         seen = []
 

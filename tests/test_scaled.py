@@ -1,8 +1,11 @@
 """Scaled-integer brackets: every enclosure must pin its exact real value.
 
 Ground truth comes from pure integer inequalities where possible (squaring
-both sides) and from high-precision mpmath elsewhere.
+both sides), from high-precision mpmath elsewhere, and for the O(1) sum
+brackets also from an exact prefix of floored roots (exact_prefix).
 """
+
+import math
 
 import mpmath as mp
 import pytest
@@ -17,9 +20,28 @@ SQ = 1 << (2 * _scaled.BITS)
 PREFIX_LIMIT = 400
 
 
+def exact_prefix(limit: int) -> "list[int]":
+    """prefix[j] = sum_{k=1}^{j} floor(sqrt(k) * 2**BITS), prefix[0] = 0: the
+    reference the O(1) brackets are checked against.  Each term undershoots
+    by < 1 unit, so prefix[b] - prefix[a-1] brackets sum_{k=a}^{b} sqrt(k)
+    with b - a + 1 units of width."""
+    out = [0]
+    for k in range(1, limit + 1):
+        out.append(out[-1] + math.isqrt(k * SQ))
+    return out
+
+
 @pytest.fixture(scope="module")
 def prefix():
-    return _scaled.sqrt_prefix(PREFIX_LIMIT)
+    return exact_prefix(PREFIX_LIMIT)
+
+
+def prefix_delta_enc(prefix, nu, n):
+    """The remainder bracket recovered from the exact prefix."""
+    a_lo, a_hi = _scaled.nA_enc(n)
+    h_lo, h_hi = _scaled.head_enc(nu)
+    s = prefix[n] - prefix[nu - 1]
+    return 24 * (a_lo - h_hi - s - (n - nu + 1)), 24 * (a_hi - h_lo - s)
 
 
 def mp_sum_sqrt(a: int, b: int) -> mp.mpf:
@@ -77,30 +99,6 @@ class TestMainTermBrackets:
             _scaled.head_enc(0)
 
 
-class TestPrefix:
-    def test_terms_are_floored_roots(self, prefix):
-        for k in (1, 2, 3, 57, 256, PREFIX_LIMIT):
-            term = prefix[k] - prefix[k - 1]
-            assert term * term <= k * SQ < (term + 1) * (term + 1)
-
-    def test_sum_bracket_contains_truth(self, prefix):
-        for a, b in [(1, 1), (1, 100), (37, 240), (399, 400), (1, PREFIX_LIMIT)]:
-            s_lo, s_hi = _scaled.sum_sqrt_enc(prefix, a, b)
-            with mp.workdps(60):
-                truth = mp_sum_sqrt(a, b) * ONE
-                assert mp.mpf(s_lo) <= truth <= mp.mpf(s_hi)
-
-    def test_range_validation(self, prefix):
-        with pytest.raises(ValueError):
-            _scaled.sum_sqrt_enc(prefix, 0, 10)
-        with pytest.raises(ValueError):
-            _scaled.sum_sqrt_enc(prefix, 5, PREFIX_LIMIT + 1)
-        with pytest.raises(ValueError):
-            _scaled.sum_sqrt_enc(prefix, 10, 5)
-        with pytest.raises(ValueError):
-            _scaled.sqrt_prefix(0)
-
-
 class TestSigmaEnc:
     @settings(max_examples=60)
     @given(
@@ -124,36 +122,46 @@ class TestSigmaEnc:
 
 
 class TestDeltaEnc:
-    def test_bracket_contains_mp_truth(self, prefix):
+    def test_bracket_contains_mp_truth(self):
         for nu, n in [(1, 2), (1, 100), (2, 3), (17, 399), (250, 400)]:
-            d_lo, d_hi = _scaled.delta_enc(prefix, nu, n)
+            d_lo, d_hi = _scaled.delta_enc(nu, n)
             with mp.workdps(60):
                 main = (4 * n + 1) * mp.sqrt(n + 1) / 6
                 head = (4 * nu - 3) * mp.sqrt(nu) / 6
                 truth = 24 * (main - head - mp_sum_sqrt(nu, n)) * ONE
                 assert mp.mpf(d_lo) <= truth <= mp.mpf(d_hi)
 
-    def test_containment_between_sigma_brackets(self, prefix):
+    def test_overlaps_the_prefix_bracket(self, prefix):
+        # two proven brackets of one real number must meet
+        for n in range(2, PREFIX_LIMIT + 1):
+            for nu in range(1, n):
+                d_lo, d_hi = _scaled.delta_enc(nu, n)
+                p_lo, p_hi = prefix_delta_enc(prefix, nu, n)
+                assert max(d_lo, p_lo) <= min(d_hi, p_hi), (nu, n)
+
+    def test_containment_between_sigma_brackets(self):
         # the remainder must sit strictly inside its elementary bracket,
         # certified end to end in integers
         for nu in range(1, PREFIX_LIMIT - 1):
             n = PREFIX_LIMIT
-            d_lo, d_hi = _scaled.delta_enc(prefix, nu, n)
+            d_lo, d_hi = _scaled.delta_enc(nu, n)
             s_lo, _ = _scaled.sigma_enc(nu, n)
             _, s2_hi = _scaled.sigma_enc(nu + 2, n + 2)
             assert s2_hi < d_lo, nu
             assert d_hi < s_lo, nu
 
-    def test_first_kind_stays_below_three_halves(self, prefix):
+    def test_first_kind_stays_below_three_halves(self):
         for n in range(2, PREFIX_LIMIT + 1):
-            _, d_hi = _scaled.delta_enc(prefix, 1, n)
+            _, d_hi = _scaled.delta_enc(1, n)
             assert d_hi < 3 * ONE // 2, n
 
-    def test_rejects_bad_ranges(self, prefix):
+    def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            _scaled.delta_enc(prefix, 5, 5)
+            _scaled.delta_enc(5, 5)
         with pytest.raises(ValueError):
-            _scaled.delta_enc(prefix, 6, 5)
+            _scaled.delta_enc(6, 5)
+        with pytest.raises(ValueError):
+            _scaled.delta_enc(0, 5)
 
 
 class TestPartialSumEnc:
@@ -163,6 +171,11 @@ class TestPartialSumEnc:
             truth = mp.zeta(-0.5) * ONE
             assert mp.mpf(lo) <= truth <= mp.mpf(hi)
         assert (hi - lo) / ONE < 2e-26
+        # frozen: the head's 63 floored roots fix these bits
+        assert _scaled.ZETA_ENC == (
+            -16470443616982765670660569219,
+            -16470443616982765670660568028,
+        )
 
     def test_coefficients_match_bernoulli(self):
         # c_j = B_{2j}/(2j)! (1/2)(-1/2)...(1/2-2j+2), from mpmath's own
@@ -175,8 +188,9 @@ class TestPartialSumEnc:
                 assert den > 0
 
     def test_head_is_the_prefix(self, prefix):
+        assert _scaled._HEAD == prefix[: _scaled.HEAD_END]
         for n in range(1, _scaled.HEAD_END):
-            assert _scaled.partial_sum_enc(n) == _scaled.sum_sqrt_enc(prefix, 1, n)
+            assert _scaled.partial_sum_enc(n) == (prefix[n], prefix[n] + n)
 
     @settings(max_examples=60)
     @given(st.integers(min_value=_scaled.HEAD_END, max_value=PREFIX_LIMIT))

@@ -10,8 +10,13 @@ side that runs first alternating from pair to pair.  Each run's printed
 JSON line goes to the log as it finishes.  The summary gives, per workload
 and end-to-end metric, each side's median and quartiles (inclusive
 method), the pairs the change won (ties count for neither) and the
-metric's bound; per side, whether every run was correct and the failed
-and attempted query totals; and the Python version and CPU count.
+metric's bound, with two flags: `regressed` when the change's median is
+worse than the parent's by more than the bound (relative to the parent's
+median), and `unresolved` when the parent's own quartile spread (q3 - q1,
+relative to its median) is wider than the bound, so the runs cannot tell
+a change of that size from noise.  Per side, whether every run was correct
+and the failed and attempted query totals; and the Python version and CPU
+count.
 """
 
 from __future__ import annotations
@@ -80,13 +85,17 @@ def summarise(bench: dict, runs: "list[dict]", seeds: "list[int]") -> dict:
             wins = sum(
                 sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"])
             )
+            parent, change = _spread(vals["parent"]), _spread(vals["change"])
+            bound, base = metric["bound"], parent["median"]
             row["metrics"][m] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                "bound": metric["bound"],
-                "parent": _spread(vals["parent"]),
-                "change": _spread(vals["change"]),
+                "bound": bound,
+                "parent": parent,
+                "change": change,
                 "change_wins": wins,
+                "regressed": sign * (base - change["median"]) > bound * base,
+                "unresolved": parent["q3"] - parent["q1"] > bound * base,
             }
         workloads[name] = row
     return {
