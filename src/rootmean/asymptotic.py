@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
 from . import _scaled
 from .exactfloor import _as_index
@@ -90,18 +89,67 @@ def _real_arg(x: object, minimum: float, name: str) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class _Record:
+    """Base of the package's frozen records, in place of a frozen dataclass
+    (whose import costs more than the rest of the package).  A subclass
+    lists its slots in __slots__ and its public fields, in order, in
+    _fields, and its __init__ sets every slot once through _setters.  Two
+    records are equal when they are of the same class with equal fields;
+    hash, repr ("Enclosure(lo=1.0, hi=3.0)"), copy and pickle follow the
+    fields too, pickle by calling the class on them.  Assigning or deleting
+    an attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: "tuple[str, ...]" = ()
+    _setters: tuple
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # each slot's own setter, in __slots__ order: __setattr__ below
+        # refuses every assignment, and calling a setter is quicker than
+        # object.__setattr__ (records are built on every query)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Enclosure(_Record):
     """A closed interval [lo, hi] guaranteed to contain a true real value."""
 
+    __slots__ = _fields = ("lo", "hi")
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __init__(self, lo: float, hi: float) -> None:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("enclosure endpoints must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: lo={self.lo!r} > hi={self.hi!r}")
+        if lo > hi:
+            raise ValueError(f"empty enclosure: lo={lo!r} > hi={hi!r}")
+        set_lo, set_hi = self._setters
+        set_lo(self, lo)
+        set_hi(self, hi)
 
     def width(self) -> float:
         return self.hi - self.lo
@@ -123,40 +171,44 @@ class Enclosure:
         return self.lo <= value <= self.hi
 
 
-@dataclass(frozen=True)
-class DeltaBounds:
+class DeltaBounds(_Record):
     """Elementary bracket (lower, upper) pinning the remainder delta strictly
     from both sides; delta_bounds rounds the exact bracket outward to these
     binary64 endpoints."""
 
+    __slots__ = _fields = ("lower", "upper")
     lower: float
     upper: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+    def __init__(self, lower: float, upper: float) -> None:
+        if not (math.isfinite(lower) and math.isfinite(upper)):
             raise ValueError("bounds must be finite")
-        if self.lower < 0.0 or self.lower > self.upper:
-            raise ValueError(f"invalid bracket ({self.lower!r}, {self.upper!r})")
+        if lower < 0.0 or lower > upper:
+            raise ValueError(f"invalid bracket ({lower!r}, {upper!r})")
+        set_lower, set_upper = self._setters
+        set_lower(self, lower)
+        set_upper(self, upper)
 
 
-@dataclass(frozen=True)
-class RootOrder:
+class RootOrder(_Record):
     """Root index r >= 1: terms are k^(1/r).  r=2 is the square root, r=1 the
     exact arithmetic series; non-integer r >= 1 is accepted, and bool and
     strings are refused."""
 
+    __slots__ = _fields = ("r",)
     r: float
 
-    def __post_init__(self) -> None:
-        if isinstance(self.r, (str, bytes, bool)):
-            raise TypeError(f"r must be a real number, got {self.r!r}")
+    def __init__(self, r: float) -> None:
+        if isinstance(r, (str, bytes, bool)):
+            raise TypeError(f"r must be a real number, got {r!r}")
         try:
-            r = float(self.r)
+            value = float(r)
         except (TypeError, ValueError):
-            raise TypeError(f"r must be a real number, got {self.r!r}") from None
-        if not math.isfinite(r) or r < 1.0:
-            raise ValueError(f"r must be a finite real >= 1, got {self.r!r}")
-        object.__setattr__(self, "r", r)
+            raise TypeError(f"r must be a real number, got {r!r}") from None
+        if not math.isfinite(value) or value < 1.0:
+            raise ValueError(f"r must be a finite real >= 1, got {r!r}")
+        (set_r,) = self._setters
+        set_r(self, value)
 
 
 def eval_A(x: float) -> float:

@@ -14,7 +14,6 @@ numpy's correctly rounded square roots.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import decimal
 import functools
 import json
@@ -23,27 +22,45 @@ import random
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import _scaled
-from .asymptotic import partial_sum_root_enclosure
+from .asymptotic import _Record, partial_sum_root_enclosure
 from .evaluator import _DEFAULT_CAP, fast_mean, oracle_mean, sweep_theorem1
 from .exactfloor import alpha_floor, floor_A_exact
 
 __all__ = ["QueryResult", "build_parser", "main"]
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(_Record):
     """One query's structured output record."""
 
+    __slots__ = _fields = (
+        "command", "inputs", "value", "error_bound", "method", "elapsed_ms", "extra"
+    )
     command: str
     inputs: "dict[str, str]"
     value: str
     error_bound: str
     method: str
-    elapsed_ms: float = 0.0
-    extra: "dict[str, str]" = field(default_factory=dict)
+    elapsed_ms: float
+    extra: "dict[str, str]"
+
+    def __init__(
+        self,
+        command: str,
+        inputs: "dict[str, str]",
+        value: str,
+        error_bound: str,
+        method: str,
+        elapsed_ms: float = 0.0,
+        extra: "dict[str, str] | None" = None,
+    ) -> None:
+        values = (
+            command, inputs, value, error_bound, method, elapsed_ms,
+            {} if extra is None else extra,
+        )
+        for setter, field in zip(self._setters, values):
+            setter(self, field)
 
     def fields(self) -> "list[tuple[str, object]]":
         items: list[tuple[str, object]] = [("command", self.command)]
@@ -408,7 +425,10 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     if result is not None:
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        result = dataclasses.replace(result, elapsed_ms=elapsed_ms)
+        result = QueryResult(
+            result.command, result.inputs, result.value, result.error_bound,
+            result.method, elapsed_ms, result.extra,
+        )
         print(result.render(args.format))
     return code
 

@@ -2,7 +2,10 @@
 
 fast_mean answers every n through one exact-integer path: a bracket of
 sum_{k=1}^{n} sqrt(k) in 2**96-scaled integers (_scaled.partial_sum_enc),
-read out once as a binary64 value and a proven error bound.  Below n = 64
+read out once as a binary64 value and a proven error bound.  The
+certificate's shortest round-tripping decimal is rendered from the exact
+midpoint on first read and cached, the same string as an eager rendering,
+so a caller that never reads it never pays for it.  Below n = 64
 the bracket is the exact head sum; from 64 on it is an integer bracket of
 zeta(-1/2) plus the n-side Euler-Maclaurin terms, whose remainder has a
 proven sign and size.  Nothing is summed per query, and numpy is not
@@ -39,13 +42,12 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, lshift, ne, or_, rshift, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _scaled
-from .asymptotic import Enclosure, _check_float_range, _outward, _round_up
+from .asymptotic import Enclosure, _check_float_range, _outward, _Record, _round_up
 from .exactfloor import _as_index, alpha_floor, floor_A_exact
 
 if TYPE_CHECKING:
@@ -85,6 +87,9 @@ _ORACLE_ONE = 1 << 54  # oracle unit 2**-54: half a spacing of a root >= 1 is wh
 
 
 def _check_eps(epsilon: float) -> float:
+    # float() would parse text and take a bool as 0 or 1
+    if isinstance(epsilon, (str, bytes, bytearray, bool)):
+        raise TypeError(f"epsilon must be a real number, got {epsilon!r}")
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be a finite positive real, got {epsilon!r}")
@@ -262,8 +267,7 @@ class ErrorBudget(NamedTuple):
     readout: float
 
 
-@dataclass(frozen=True)
-class CertifiedMean:
+class CertifiedMean(_Record):
     """A mean with a guaranteed absolute error bound: |true - value| is at
     most error_bound.  value is the binary64 rounding of the certified
     midpoint, and error_bound charges the bracket's half-width plus the
@@ -273,13 +277,50 @@ class CertifiedMean:
     shortest repr can disagree in the last place).  method is "exact-sum"
     below n = 64 and "euler-maclaurin" from there on; budget splits
     error_bound into its sources.
+
+    A certificate from fast_mean keeps its exact midpoint privately and
+    renders decimal_value from it on first read, then caches it.  The
+    string is the one an eager rendering gives, whenever it is read; a
+    caller that reads only value and error_bound never pays for it.
+    Equality, hashing, repr, copy and pickle read it like any other field.
     """
 
+    __slots__ = ("value", "error_bound", "method", "budget", "_midpoint", "_decimal")
+    _fields = ("value", "error_bound", "method", "decimal_value", "budget")
     value: float
     error_bound: float
     method: str
-    decimal_value: str
     budget: ErrorBudget
+
+    def __init__(
+        self,
+        value: float,
+        error_bound: float,
+        method: str,
+        decimal_value: str,
+        budget: ErrorBudget,
+    ) -> None:
+        self._fill(value, error_bound, method, budget, None, decimal_value)
+
+    def _fill(self, value, error_bound, method, budget, midpoint, decimal_value) -> None:
+        """Set the slots once; midpoint is (num, den) or None, and
+        decimal_value is None until rendered from it."""
+        set_value, set_bound, set_method, set_budget, set_mid, set_decimal = self._setters
+        set_value(self, value)
+        set_bound(self, error_bound)
+        set_method(self, method)
+        set_budget(self, budget)
+        set_mid(self, midpoint)
+        set_decimal(self, decimal_value)
+
+    @property
+    def decimal_value(self) -> str:
+        """_shortest_roundtrip of the midpoint, rendered on first read."""
+        text = self._decimal
+        if text is None:
+            text = _shortest_roundtrip(*self._midpoint, self.value)
+            object.__setattr__(self, "_decimal", text)
+        return text
 
 
 # Sigma(n) < (2/3) sqrt(n+2) < 2**1023 for n < 2**2046, so value is finite
@@ -311,7 +352,10 @@ def _certify(lo: int, hi: int, den: int, method: str, head: int) -> CertifiedMea
     (int/int true division rounds once), so its readout error is exactly
     dev/(2 den q) with dev = |2 den p - q num|, at most ulp(value)/2.
     error_bound is the smallest binary64 >= the half-width plus that error;
-    the budget rounds each of the three shares up on its own.
+    the budget rounds each of the three shares up on its own.  The
+    certificate keeps num/(2 den) and renders decimal_value from it only
+    when it is first read (then caches it), the same string as if rendered
+    here.
     """
     num, den2 = lo + hi, 2 * den
     value = num / den2
@@ -321,8 +365,9 @@ def _certify(lo: int, hi: int, den: int, method: str, head: int) -> CertifiedMea
     budget = ErrorBudget(
         _round_up(hi - lo - head, den2), _round_up(head, den2), _round_up(dev, q * den2)
     )
-    decimal_value = _shortest_roundtrip(num, den2, value)
-    return CertifiedMean(value, bound, method, decimal_value, budget)
+    cert = object.__new__(CertifiedMean)
+    cert._fill(value, bound, method, budget, (num, den2), None)
+    return cert
 
 
 def fast_mean(n: int, epsilon: float) -> CertifiedMean:

@@ -1,8 +1,9 @@
 """Floating enclosures: frozen values, containment against mpmath truth,
-domain validation, and the structural dataclasses."""
+domain validation, and the package's frozen records."""
 
-import dataclasses
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,6 +24,8 @@ from rootmean.asymptotic import (
     partial_sum_root_enclosure,
     partial_sum_sqrt_enclosure,
 )
+from rootmean.cli import QueryResult
+from rootmean.evaluator import CertifiedMean, ErrorBudget, fast_mean
 
 
 def mp_root_sum(a: int, b: int, r: float) -> mp.mpf:
@@ -205,9 +208,93 @@ class TestEnclosure:
             Enclosure(math.nan, 1.0)
         with pytest.raises(ValueError):
             Enclosure(0.0, math.inf)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             e = Enclosure(0.0, 1.0)
             e.lo = -1.0
+
+
+# (make, a record unequal to make() in one field, make()'s repr)
+RECORDS = [
+    (lambda: Enclosure(1.0, 3.0), Enclosure(1.0, 2.0), "Enclosure(lo=1.0, hi=3.0)"),
+    (
+        lambda: DeltaBounds(0.5, 1.5),
+        DeltaBounds(0.25, 1.5),
+        "DeltaBounds(lower=0.5, upper=1.5)",
+    ),
+    (lambda: RootOrder(2), RootOrder(3), "RootOrder(r=2.0)"),
+    (
+        lambda: CertifiedMean(1.5, 0.25, "exact-sum", "1.5", ErrorBudget(0.0, 0.125, 0.125)),
+        CertifiedMean(1.5, 0.25, "exact-sum", "1.50", ErrorBudget(0.0, 0.125, 0.125)),
+        "CertifiedMean(value=1.5, error_bound=0.25, method='exact-sum', "
+        "decimal_value='1.5', budget=ErrorBudget(remainder=0.0, head=0.125, readout=0.125))",
+    ),
+    (
+        lambda: fast_mean(10 ** 7, 1e-9),
+        fast_mean(10 ** 7 + 1, 1e-9),
+        "CertifiedMean(value=2108.185264872015, error_bound=1.8995354061165738e-13, "
+        "method='euler-maclaurin', decimal_value='2108.185264872015', "
+        "budget=ErrorBudget(remainder=4.2079708707112335e-30, "
+        "head=3.9758589623139e-35, readout=1.8995354061165738e-13))",
+    ),
+    (
+        lambda: QueryResult("floor", {"n": "10"}, "2", "0", "exact"),
+        QueryResult("floor", {"n": "10"}, "2", "0", "exact", 1.5),
+        "QueryResult(command='floor', inputs={'n': '10'}, value='2', "
+        "error_bound='0', method='exact', elapsed_ms=0.0, extra={})",
+    ),
+]
+FIELDS = {
+    Enclosure: ("lo", "hi"),
+    DeltaBounds: ("lower", "upper"),
+    RootOrder: ("r",),
+    CertifiedMean: ("value", "error_bound", "method", "decimal_value", "budget"),
+    QueryResult: (
+        "command", "inputs", "value", "error_bound", "method", "elapsed_ms", "extra"
+    ),
+}
+
+
+def field_values(record) -> tuple:
+    return tuple(getattr(record, name) for name in FIELDS[type(record)])
+
+
+@pytest.mark.parametrize("make, other, text", RECORDS)
+class TestRecords:
+    """Enclosure, DeltaBounds, RootOrder, CertifiedMean (built directly and
+    by fast_mean, whose decimal is rendered lazily) and QueryResult keep a
+    frozen dataclass's equality, hash, repr, copy, pickle and immutability."""
+
+    def test_equality_and_hash(self, make, other, text):
+        a, b = make(), make()
+        assert a == b and not a != b
+        assert a != other
+        assert a != field_values(a)
+        if isinstance(a, QueryResult):
+            with pytest.raises(TypeError):  # its dict fields are unhashable
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == hash(field_values(a))
+
+    def test_repr(self, make, other, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))]
+    )
+    def test_copies_are_equal(self, make, other, text, clone):
+        record = make()
+        twin = clone(record)
+        assert twin == record and type(twin) is type(record)
+        assert field_values(twin) == field_values(record)
+
+    def test_refuses_assignment_and_deletion(self, make, other, text):
+        record = make()
+        for name in (*FIELDS[type(record)], "anything"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == text
 
 
 class TestRootOrder:

@@ -94,3 +94,36 @@ def test_change_within_the_bound_sets_neither_flag():
     change = [(88.0, 33.0), (90.0, 33.3), (92.0, 32.7)]
     flags = _flags(parent, change)
     assert flags == {"queries_per_s": (False, False), "peak_rss_mib": (False, False)}
+
+
+def _gains(parent, change):
+    """The gain flag of queries_per_s over pairs of (parent, change) runs."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change), 1):
+        runs += [_run(seed, "parent", p, 30.0), _run(seed, "change", c, 30.0)]
+    seeds = list(range(1, len(runs) // 2 + 1))
+    metrics = bench_pairs.summarise(BENCH, runs, seeds)["workloads"]["sweep"]["metrics"]
+    return metrics["queries_per_s"]["gain"], metrics["peak_rss_mib"]["gain"]
+
+
+# ten parent runs with quartiles 98.25 and 101.75 (inclusive): a spread of 3.5
+PARENT = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0]
+
+
+def test_nine_wins_and_a_gap_beyond_the_spread_is_a_gain():
+    # nine of ten pairs won, one tie, and the medians differ by more than
+    # 3.5; RSS ties every pair, so it gains nothing
+    change = [p + 10.0 for p in PARENT[:-1]] + [PARENT[-1]]
+    assert _gains(PARENT, change) == (True, False)
+
+
+def test_eight_wins_are_no_gain():
+    # the medians still differ by 8.5, but two pairs are lost
+    change = [p + 10.0 for p in PARENT[:8]] + [p - 1.0 for p in PARENT[8:]]
+    assert _gains(PARENT, change) == (False, False)
+
+
+def test_a_gap_within_the_spread_is_no_gain():
+    # every pair won, by 3 against a parent spread of 3.5
+    change = [p + 3.0 for p in PARENT]
+    assert _gains(PARENT, change) == (False, False)

@@ -3,8 +3,10 @@ fast_mean, certified means, the paper's split route, and the floor sweep
 machinery."""
 
 import bisect
+import decimal
 import functools
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -18,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootmean import _scaled, evaluator
-from rootmean.asymptotic import delta_bounds, partial_sum_sqrt_enclosure
+from rootmean.asymptotic import _round_up, delta_bounds, partial_sum_sqrt_enclosure
 from rootmean.evaluator import (
     _CHUNK,
     _DEFAULT_CAP,
     _WINDOW,
+    ErrorBudget,
     _certify,
     _exact_runs,
     _floor_blocks,
@@ -184,7 +187,7 @@ class TestOracleMean:
         assert enc.width() < 8 * math.ulp(1.0)
 
 
-class TestChooseNu:
+class TestFixedPlan:
     """The split point is no longer chosen: terms 1..63 are summed exactly
     and everything from a = 64 on is closed by one Euler-Maclaurin formula,
     whatever epsilon asks for."""
@@ -267,6 +270,10 @@ class TestChooseNu:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 fast_mean(100, bad)
+        # float() would parse the text and read a bool as 0 or 1
+        for bad in ("1e-3", b"1e-3", bytearray(b"1e-3"), True):
+            with pytest.raises(TypeError, match="epsilon must be a real number"):
+                fast_mean(100, bad)
 
     def test_rejects_beyond_exact_range(self, calls):
         # n from 2**2046 on, where value could overflow, is refused before
@@ -315,6 +322,89 @@ class TestCertify:
         assert Fraction(math.nextafter(r.error_bound, -math.inf)) < total
         assert float(r.decimal_value) == r.value
         assert r.method == "exact-sum"
+
+
+_QUOTIENT = decimal.Context(prec=40)
+_ROUNDERS = [decimal.Context(prec=digits) for digits in range(1, 18)]
+
+
+def eager_shortest_roundtrip(num, den, payload):
+    """The readout's decimal rendering, copied as the reference."""
+    d = _QUOTIENT.divide(num, den)
+    shortest = len(repr(payload).split("e")[0].replace(".", "").strip("0"))
+    for rounder in _ROUNDERS[shortest - 1 :]:
+        cand = str(rounder.plus(d))
+        if float(cand) == payload:
+            return cand
+    return repr(payload)
+
+
+def eager_certify(lo, hi, den, method, head):
+    """The readout with its decimal rendered at once, copied as the
+    reference: (value, error_bound, method, decimal_value, budget)."""
+    num, den2 = lo + hi, 2 * den
+    value = num / den2
+    p, q = value.as_integer_ratio()
+    dev = abs(p * den2 - q * num)
+    bound = _round_up(q * (hi - lo) + dev, q * den2)
+    budget = ErrorBudget(
+        _round_up(hi - lo - head, den2), _round_up(head, den2), _round_up(dev, q * den2)
+    )
+    return value, bound, method, eager_shortest_roundtrip(num, den2, value), budget
+
+
+def eager_mean(n):
+    lo, hi = _scaled.partial_sum_enc(n)
+    if n < _scaled.HEAD_END:
+        method, head = "exact-sum", hi - lo
+    else:
+        method, head = "euler-maclaurin", _scaled.HEAD_END - 1
+    return eager_certify(lo, hi, n * _scaled.ONE, method, head)
+
+
+def _readout_grid():
+    """n = 1..65, the seams of binary64 and the top of the range, and 2000
+    seeded n below 2**2046 of every bit length."""
+    rng = random.Random(2046)
+    fixed = [*range(1, 66), 10 ** 6, 10 ** 12, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 2045]
+    drawn = [rng.getrandbits(rng.randrange(1, 2047)) | 1 for _ in range(2000)]
+    return fixed + drawn
+
+
+class TestLazyReadout:
+    """fast_mean renders decimal_value only when it is read, and every field
+    equals the eager readout's."""
+
+    def test_fields_match_eager_readout(self):
+        for n in _readout_grid():
+            r = fast_mean(n, 1e300)
+            fields = (r.value, r.error_bound, r.method, r.decimal_value, r.budget)
+            assert fields == eager_mean(n), n
+
+    def test_decimal_is_not_rendered_until_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decimal rendered")
+
+        monkeypatch.setattr(evaluator, "_shortest_roundtrip", refuse)
+        r = fast_mean(10 ** 12, 1e-6)
+        value, bound, _, _, budget = eager_mean(10 ** 12)
+        assert (r.value, r.error_bound, r.budget) == (value, bound, budget)
+        with pytest.raises(AssertionError, match="decimal rendered"):
+            r.decimal_value
+
+    def test_decimal_is_rendered_once(self, monkeypatch):
+        rendered = []
+
+        def counted(*args, real=evaluator._shortest_roundtrip):
+            rendered.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(evaluator, "_shortest_roundtrip", counted)
+        r = fast_mean(10 ** 12, 1e-6)
+        assert rendered == []
+        first, second = r.decimal_value, r.decimal_value
+        assert first == second == eager_mean(10 ** 12)[3]
+        assert len(rendered) == 1
 
 
 class TestFastMean:

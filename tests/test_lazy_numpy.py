@@ -1,7 +1,7 @@
 """numpy is loaded only by the oracle and the sweep: importing the package,
 exact floors, the partial-sum enclosures, every certified mean (fast_mean
 and `rootmean mean`) and the exact verify modes (delta, lemma2, lemma3)
-never load it."""
+never load it.  Importing the package and its CLI loads no dataclasses."""
 
 import os
 import subprocess
@@ -16,6 +16,7 @@ SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
 import rootmean, rootmean.cli
+assert "dataclasses" not in sys.modules
 from rootmean import (
     fast_mean, floor_A_exact, floor_via_alpha, partial_sum_root_enclosure
 )

@@ -10,11 +10,13 @@ side that runs first alternating from pair to pair.  Each run's printed
 JSON line goes to the log as it finishes.  The summary gives, per workload
 and end-to-end metric, each side's median and quartiles (inclusive
 method), the pairs the change won (ties count for neither) and the
-metric's bound, with two flags: `regressed` when the change's median is
+metric's bound, with three flags: `regressed` when the change's median is
 worse than the parent's by more than the bound (relative to the parent's
-median), and `unresolved` when the parent's own quartile spread (q3 - q1,
+median), `unresolved` when the parent's own quartile spread (q3 - q1,
 relative to its median) is wider than the bound, so the runs cannot tell
-a change of that size from noise.  Per side, whether every run was correct
+a change of that size from noise, and `gain` when the change won at least
+nine tenths of the pairs and its median is better than the parent's by
+more than the parent's q3 - q1: the rule a claimed gain must meet.  Per side, whether every run was correct
 and the failed and attempted query totals; and the Python version and CPU
 count.
 """
@@ -87,6 +89,7 @@ def summarise(bench: dict, runs: "list[dict]", seeds: "list[int]") -> dict:
             )
             parent, change = _spread(vals["parent"]), _spread(vals["change"])
             bound, base = metric["bound"], parent["median"]
+            spread = parent["q3"] - parent["q1"]
             row["metrics"][m] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -95,7 +98,9 @@ def summarise(bench: dict, runs: "list[dict]", seeds: "list[int]") -> dict:
                 "change": change,
                 "change_wins": wins,
                 "regressed": sign * (base - change["median"]) > bound * base,
-                "unresolved": parent["q3"] - parent["q1"] > bound * base,
+                "unresolved": spread > bound * base,
+                "gain": 10 * wins >= 9 * len(vals["change"])
+                and sign * (change["median"] - base) > spread,
             }
         workloads[name] = row
     return {
