@@ -21,10 +21,9 @@ shape (2 - 1/r - n^(-1+1/r) for nu == 1, else (nu-1)^(-1+1/r) - n^(-1+1/r));
 r = 1 is exact (delta_1 = 0: the arithmetic series).
 
 Endpoints are binary64.  The square-root and r = 1 sums are bracketed
-exactly in integers (_scaled) and rounded outward once; the other r are
-evaluated in binary64 and widened by an error budget.  Integer inputs so
-large that binary64 cannot represent them exactly are refused rather than
-silently rounded.
+exactly in integers (_scaled) and rounded outward once, at any n whose sum
+binary64 holds; the other r are evaluated in binary64, widened by an error
+budget, and refuse integers that binary64 cannot represent exactly.
 """
 
 from __future__ import annotations
@@ -50,15 +49,16 @@ __all__ = [
 
 
 _MAX_EXACT = 2 ** 53  # largest n the floating path accepts
+_FLOAT_MAX = int(sys.float_info.max)  # binary64's largest finite value, exactly
 
 
 def _check_float_range(n: int, name: str = "n") -> int:
     """The floating path refuses n beyond 2**53 rather than silently losing
     integer precision: every integer up to 2**53 converts to binary64
     exactly.  This is the package's one 2**53 guard, reached by eval_A, the
-    enclosures and the oracle (and by the CLI through them); fast_mean and
-    floor_A_exact work in exact integers and never call it.  The message
-    names the bound, not n, which may be too long to render."""
+    envelopes, the r-th-root enclosures for r other than 1 and 2 and the
+    oracle (and by the CLI through them); the exact integer paths never call
+    it.  The message names the bound, not n, which may be too long to render."""
     if n > _MAX_EXACT:
         raise ValueError(
             f"{name} exceeds 2**53; binary64 cannot carry it exactly: "
@@ -87,6 +87,19 @@ def _real_arg(x: object, minimum: float, name: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _real_number(x: object, name: str) -> float:
+    """float(x) for a real number x.  TypeError for str, bytes and bytearray
+    (float() would parse them), bool (read as 0 or 1) and non-numbers."""
+    if type(x) is float:  # the common case
+        return x
+    if not isinstance(x, (str, bytes, bytearray, bool)):
+        try:
+            return float(x)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            pass
+    raise TypeError(f"{name} must be a real number, got {x!r}")
 
 
 class _Record:
@@ -192,19 +205,14 @@ class DeltaBounds(_Record):
 
 class RootOrder(_Record):
     """Root index r >= 1: terms are k^(1/r).  r=2 is the square root, r=1 the
-    exact arithmetic series; non-integer r >= 1 is accepted, and bool and
-    strings are refused."""
+    exact arithmetic series; non-integer r >= 1 is accepted, and bool, str,
+    bytes and bytearray are refused."""
 
     __slots__ = _fields = ("r",)
     r: float
 
     def __init__(self, r: float) -> None:
-        if isinstance(r, (str, bytes, bool)):
-            raise TypeError(f"r must be a real number, got {r!r}")
-        try:
-            value = float(r)
-        except (TypeError, ValueError):
-            raise TypeError(f"r must be a real number, got {r!r}") from None
+        value = _real_number(r, "r")
         if not math.isfinite(value) or value < 1.0:
             raise ValueError(f"r must be a finite real >= 1, got {r!r}")
         (set_r,) = self._setters
@@ -224,15 +232,16 @@ def eval_A(x: float) -> float:
 def delta_bounds(nu: int, n: int) -> DeltaBounds:
     """The bracket (sigma(nu+2, n+2), sigma(nu, n)) around the remainder
     delta_{nu,n}, taken from the exact 2**96-scaled brackets and rounded
-    outward once; requires nu < n."""
+    outward once, for any nu < n; sigma(nu+2, n+2) > 0, so a lower end the
+    2**-96 grid puts at or below 0 (as near n = 10**100) is raised to 0.0."""
     nu = _as_index(nu, name="nu")
-    n = _check_float_range(_as_index(n))
+    n = _as_index(n)
     if nu >= n:
         raise ValueError("need nu < n")
     enc = _outward(
         _scaled.sigma_enc(nu + 2, n + 2)[0], _scaled.sigma_enc(nu, n)[1], _scaled.ONE
     )
-    return DeltaBounds(enc.lo, enc.hi)
+    return DeltaBounds(max(0.0, enc.lo), enc.hi)
 
 
 def _round_up(num: int, den: int) -> float:
@@ -246,7 +255,13 @@ def _round_up(num: int, den: int) -> float:
 
 
 def _outward(lo: int, hi: int, den: int = 1) -> Enclosure:
-    """The binary64 enclosure of the rational interval [lo/den, hi/den]."""
+    """The binary64 enclosure of the rational interval [lo/den, hi/den], den
+    > 0: the package's one refusal of an end past binary64's finite range."""
+    if max(hi, -lo) > _FLOAT_MAX * den:
+        raise ValueError(
+            "value exceeds binary64's largest finite value, about 1.8e308: "
+            "only the exact series (`rootmean sum --root 1`) prints its digits"
+        )
     return Enclosure(-_round_up(-lo, den), _round_up(hi, den))
 
 
@@ -254,9 +269,9 @@ def partial_sum_sqrt_enclosure(nu: int, n: int) -> Enclosure:
     """Certified enclosure of sum_{k=nu}^{n} sqrt(k) for 1 <= nu < n, without
     summing anything: 24 sum = 24 (n A(n) - (2/3) sqrt(nu)(nu - 3/4)) - delta,
     bracketed in 2**96-scaled integers with delta between sigma(nu+2, n+2)
-    and sigma(nu, n), then rounded outward once."""
+    and sigma(nu, n), then rounded outward once; n up to about 4.2e205."""
     nu = _as_index(nu, name="nu")
-    n = _check_float_range(_as_index(n))
+    n = _as_index(n)
     if nu >= n:
         raise ValueError("need nu < n")
     a_lo, a_hi = _scaled.nA_enc(n)
@@ -314,8 +329,8 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
 
     r=1 is the exact arithmetic series (zero width).  r=2 returns the exact
     same endpoints as partial_sum_sqrt_enclosure by construction.  Otherwise
-    the r-th-root main term minus the sigma_r/(12 r) bracket, widened outward
-    including the exp/log evaluation budget.
+    n <= 2**53, and the r-th-root main term minus the sigma_r/(12 r) bracket,
+    widened outward including the exp/log evaluation budget.
     """
     order = r if isinstance(r, RootOrder) else RootOrder(r)
     nu = _as_index(nu, name="nu")
@@ -326,15 +341,10 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
     if rv == 1.0:
         # exact integer series: no width limit, but binary64 endpoints
         exact = (n * (n + 1) - nu * (nu - 1)) // 2
-        if exact > sys.float_info.max:
-            raise ValueError(
-                "sum exceeds binary64's largest finite value, about 1.8e308: "
-                "`rootmean sum --root 1` prints its exact digits"
-            )
         return _outward(exact, exact)
-    _check_float_range(n)
     if rv == 2.0:
         return partial_sum_sqrt_enclosure(nu, n)
+    _check_float_range(n)
 
     t1, t2, rel = _root_main_term(nu, n, rv)
     main = t1 - t2

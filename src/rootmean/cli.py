@@ -6,18 +6,17 @@ domain error.  Identical inputs produce bit-identical records except for
 the elapsed_ms field.
 
 Every verify mode decides its checks by exact integer comparisons, so exit
-code 1 means a real counterexample: delta, lemma2 and lemma3 in closed
-form, and theorem1 from the oracle's integer bracket of the sum of
-numpy's correctly rounded square roots.
+code 1 means a real counterexample: delta in closed form at sampled pairs,
+theorem1 from the oracle's integer bracket of the sum of numpy's correctly
+rounded square roots, and lemma2 and lemma3 from polynomial certificates
+that hold for every x and every m, so these two read no --max-n.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
-import functools
 import json
-import math
 import random
 import shlex
 import sys
@@ -26,7 +25,7 @@ import time
 from . import _scaled
 from .asymptotic import _Record, partial_sum_root_enclosure
 from .evaluator import _DEFAULT_CAP, fast_mean, oracle_mean, sweep_theorem1
-from .exactfloor import alpha_floor, floor_A_exact
+from .exactfloor import floor_A_exact
 
 __all__ = ["QueryResult", "build_parser", "main"]
 
@@ -188,121 +187,110 @@ def _verify_delta(max_n: int, cap: int):
     return len(pairs), failures
 
 
-# A(x) = (2/3) sqrt(x+1) (1 + 1/(4x)) = (4x+1) sqrt(x+1) / (6x).  Each
-# predicate below decides one claim about A exactly: every step of its
-# proof is an equivalence, so the integer comparison is the claim itself.
+# A(x) = (2/3) sqrt(x+1) (1 + 1/(4x)) = (4x+1) sqrt(x+1) / (6x).  Each gap
+# below is an integer polynomial, positive exactly when its claim about A
+# holds: every step of its derivation is an equivalence.
 
 
-def _under_upper_envelope(p: int, q: int) -> bool:
-    """A(x) < (2/3) sqrt(x+2) at x = p/q > 0.
-
-    Both sides are positive, so squaring keeps the order:
-    (4x+1)^2 (x+1) / (36 x^2) < (4/9)(x+2), that is (4x+1)^2 (x+1) <
-    16 x^2 (x+2); times q^3, (4p+q)^2 (p+q) < 16 p^2 (p+2q)."""
-    return (4 * p + q) ** 2 * (p + q) < 16 * p * p * (p + 2 * q)
+def _upper_gap(p: int, q: int) -> int:
+    """A(x) < (2/3) sqrt(x+2) at x = p/q > 0.  Both sides are positive, so
+    squaring keeps the order: 16 x^2 (x+2) - (4x+1)^2 (x+1) > 0; times q^3."""
+    return 16 * p * p * (p + 2 * q) - (4 * p + q) ** 2 * (p + q)
 
 
-def _over_lower_envelope(p: int, q: int) -> bool:
-    """A(x) > (2/3) sqrt(x+5/4) + 1/(4x) at x = p/q > 0.
-
-    Times 12x > 0, with 8x sqrt(x+5/4) = 4x sqrt(4x+5), the claim reads
-    2(4x+1) sqrt(x+1) > 4x sqrt(4x+5) + 3.  Both sides are positive, so
-    squaring keeps the order: 64x^3 + 96x^2 + 36x + 4 > 64x^3 + 80x^2 + 9 +
-    24x sqrt(4x+5), that is D = 16x^2 + 36x - 5 > 24x sqrt(4x+5).  The
-    right side is positive, so this holds iff D > 0 and D^2 > 576 x^2
-    (4x+5).  Times q^2 and q^4, with a = 16p^2 + 36pq - 5q^2: a > 0 and
-    a^2 > 576 p^2 q (4p+5q)."""
-    a = 16 * p * p + 36 * p * q - 5 * q * q
-    return a > 0 and a * a > 576 * p * p * q * (4 * p + 5 * q)
+def _lower_gap(p: int, q: int) -> int:
+    """D times q^2: A(x) > (2/3) sqrt(x+5/4) + 1/(4x) at x = p/q > 0 iff this
+    gap and _lower_square_gap are positive.  Times 12x > 0, with 8x sqrt(x+5/4)
+    = 4x sqrt(4x+5), the claim reads 2(4x+1) sqrt(x+1) > 4x sqrt(4x+5) + 3.
+    Both sides are positive, so squaring keeps the order: 64x^3 + 96x^2 +
+    36x + 4 > 64x^3 + 80x^2 + 9 + 24x sqrt(4x+5), that is D = 16x^2 + 36x
+    - 5 > 24x sqrt(4x+5), which holds iff D > 0 and D^2 > 576 x^2 (4x+5)."""
+    return 16 * p * p + 36 * p * q - 5 * q * q
 
 
-def _below_step(n: int, s: int) -> bool:
-    """A(n) < s for integers n, s >= 1: both sides are positive, so square:
-    (4n+1)^2 (n+1) / (36 n^2) < s^2, that is (4n+1)^2 (n+1) < 36 n^2 s^2."""
-    return (4 * n + 1) ** 2 * (n + 1) < 36 * n * n * s * s
+def _lower_square_gap(p: int, q: int) -> int:
+    """D^2 - 576 x^2 (4x+5) at x = p/q, times q^4 (see _lower_gap)."""
+    return _lower_gap(p, q) ** 2 - 576 * p * p * q * (4 * p + 5 * q)
 
 
-def _over_step(x: int, s: int) -> bool:
-    """A(x) - 1/(4x) > s for integers x, s >= 1: times 12x > 0, the claim
-    reads 2(4x+1) sqrt(x+1) > 12xs + 3; both sides are positive, so
-    squaring keeps the order: 4 (4x+1)^2 (x+1) > (12xs + 3)^2."""
-    return 4 * (4 * x + 1) ** 2 * (x + 1) > (12 * x * s + 3) ** 2
+def _below_gap(n: int, s: int) -> int:
+    """A(n) < s for n, s > 0: both sides are positive, so squaring keeps the
+    order: 36 n^2 s^2 - (4n+1)^2 (n+1) > 0."""
+    return 36 * n * n * s * s - (4 * n + 1) ** 2 * (n + 1)
 
 
-_LEMMA2_LIMIT = 10 ** 1000
-_LEMMA2_POINTS = 2000
+def _over_gap(x: int, s: int) -> int:
+    """A(x) - 1/(4x) > s for x, s > 0: times 12x > 0, 2(4x+1) sqrt(x+1) >
+    12xs + 3; squaring keeps the order: 4 (4x+1)^2 (x+1) - (12xs + 3)^2 > 0."""
+    return 4 * (4 * x + 1) ** 2 * (x + 1) - (12 * x * s + 3) ** 2
 
 
-def _lemma2_grid(max_n: int) -> "list[tuple[int, int]]":
-    """Exact rationals p/q in [2, max_n], in increasing order: 2, 6 and
-    max_n where they lie in range, and about _LEMMA2_POINTS points spaced
-    evenly in log2.  Each spaced point is 2**t = 2**k * 2**(t - k), k =
-    floor(t), with 2**(t - k) taken exactly from its binary64 value; the
-    spacing only chooses where to look, and every check runs on the exact
-    rational."""
-    top = math.log2(max_n)
-    points = {(2, 1), (6, 1), (max_n, 1)}
-    for i in range(_LEMMA2_POINTS):
-        t = 1.0 + (top - 1.0) * i / (_LEMMA2_POINTS - 1)
-        k = math.floor(t)
-        p, q = (2.0 ** (t - k)).as_integer_ratio()
-        p <<= k
-        g = math.gcd(p, q)
-        points.add((p // g, q // g))
-    by_value = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
-    return sorted(((p, q) for p, q in points if 2 * q <= p <= max_n * q), key=by_value)
-
-
-def _verify_lemma2(max_n: int, cap: int):
-    """Lemma 2's envelopes at each rational x = p/q of _lemma2_grid, in
-    integers: A(x) < (2/3) sqrt(x+2) for x >= 2 and A(x) > (2/3)
-    sqrt(x+5/4) + 1/(4x) for x >= 6.  The limit on max_n bounds the
-    integers (about 4 log2(max_n) bits); no value is rounded."""
-    if max_n < 2:
-        raise ValueError("lemma2 mode needs --max-n >= 2")
-    if max_n > _LEMMA2_LIMIT:
-        raise ValueError("lemma2 mode checks exact rationals; --max-n <= 10**1000")
-    checked = 0
-    failures = []
-    for p, q in _lemma2_grid(max_n):
-        checked += 1
-        if not _under_upper_envelope(p, q):
-            failures.append((f"{p}/{q}", "A(x) < (2/3) sqrt(x+2)", "violated"))
-        if p >= 6 * q:
-            checked += 1
-            if not _over_lower_envelope(p, q):
-                failures.append(
-                    (f"{p}/{q}", "A(x) > (2/3) sqrt(x+5/4) + 1/(4x)", "violated")
-                )
-    return checked, failures
-
-
-def _verify_lemma3(max_n: int, cap: int):
-    """Lemma 3 at every threshold alpha(m) = (9/4)(m+1)^2 - 2 for m <=
-    max_n, with n = alpha_floor(m) and x = n + 1, in integers: n <=
-    alpha(m) < x (as 4n <= 9(m+1)^2 - 8 < 4x), the exact floor steps from
-    m at n to m+1 at x, A(n) < m+1 (_below_step) and A(x) - 1/(4x) > m+1
-    (_over_step).  The cap on max_n only bounds the loop."""
-    if max_n > 1_000_000:
-        raise ValueError("lemma3 mode checks every threshold; --max-n <= 10**6")
-    checked = 0
-    failures = []
-    for m in range(1, max_n + 1):
-        n = alpha_floor(m)
-        x, s = n + 1, m + 1
-        checked += 1
-        ok = (
-            4 * n <= 9 * s * s - 8 < 4 * x
-            and floor_A_exact(n) == m
-            and floor_A_exact(x) == s
-            and _below_step(n, s)
-            and _over_step(x, s)
+def _certified(gap, point, degree: int, coefficients: "tuple[int, ...]") -> bool:
+    """Whether gap(*point(u)) > 0 is proved for every real u >= 0.  It is a
+    polynomial in u of degree <= `degree` (read off the expressions), so
+    agreeing at u = 0..degree makes it the polynomial with these
+    coefficients, constant first, positive at u >= 0 if every one is."""
+    return (
+        len(coefficients) <= degree + 1
+        and all(c > 0 for c in coefficients)
+        and all(
+            gap(*point(u)) == sum(c * u ** i for i, c in enumerate(coefficients))
+            for u in range(degree + 1)
         )
-        if not ok:
-            failures.append(
-                (str(n), f"floor steps {m} -> {s} at alpha({m})", "violated")
-            )
-    return checked, failures
+    )
+
+
+# (domain, claim, gap, point(u), degree bound, coefficients): Lemma 2's gaps
+# are homogeneous in (p, q), so at q = 1 each decides its claim at real x = p.
+_LEMMA2_CERTIFICATES = (
+    ("x = u + 2", "A(x) < (2/3) sqrt(x+2)", _upper_gap, lambda u: (u + 2, 1), 3,
+     (13, 23, 8)),
+    ("x = u + 6", "D > 0", _lower_gap, lambda u: (u + 6, 1), 2, (787, 228, 16)),
+    ("x = u + 6", "D^2 > 576 x^2 (4x+5)", _lower_square_gap, lambda u: (u + 6, 1), 4,
+     (18025, 75480, 32816, 4992, 256)),
+)
+# Lemma 3 at n = alpha_floor(m), x = n + 1, s = m + 1 and t = u + 1: for odd
+# m = 2t - 1, n = 9t^2 - 2 and s = 2t; for even m = 2t, 9t^2 + 9t and 2t + 1.
+_LEMMA3_CERTIFICATES = (
+    ("m = 2u + 1", "A(n) < m + 1", _below_gap,
+     lambda u: (9 * (u + 1) ** 2 - 2, 2 * u + 2), 6, (328, 1854, 3519, 2592, 648)),
+    ("m = 2u + 1", "A(x) - 1/(4x) > m + 1", _over_gap,
+     lambda u: (9 * (u + 1) ** 2 - 1, 2 * u + 2), 6, (1179, 6120, 11412, 9072, 2592)),
+    ("m = 2u + 2", "A(n) < m + 1", _below_gap,
+     lambda u: (9 * (u + 1) * (u + 2), 2 * u + 3), 6, (3725, 11421, 12555, 5832, 972)),
+    ("m = 2u + 2", "A(x) - 1/(4x) > m + 1", _over_gap,
+     lambda u: (9 * (u + 1) * (u + 2) + 1, 2 * u + 3), 6, (2351, 8820, 11628, 6480, 1296)),
+)
+
+
+def _check_certificates(certificates):
+    failed = [c[:2] + ("not certified",) for c in certificates if not _certified(*c[2:])]
+    return len(certificates), failed
+
+
+def _verify_lemma2(*_: int):
+    """Lemma 2 for every real x, from _LEMMA2_CERTIFICATES: A(x) < (2/3) sqrt(x+2)
+    for x >= 2, and A(x) > (2/3) sqrt(x+5/4) + 1/(4x) for x >= 6."""
+    return _check_certificates(_LEMMA2_CERTIFICATES)
+
+
+def _verify_lemma3(*_: int):
+    """Lemma 3 for every m >= 1, from _LEMMA3_CERTIFICATES: at n =
+    alpha_floor(m) and x = n + 1, A(n) < m + 1 (below the step) and
+    A(x) - 1/(4x) > m + 1 (over the step).
+
+    With them, Theorem 1: floor(Sigma(n)) = floor(A(n)) for every n >= 1.
+    - The identity at nu = 1 (asymptotic) reads Sigma(n) = A(n) - 1/(6n) -
+      delta(1, n)/(24n), so 0 < delta(1, n) < 3/2 gives A(n) - 11/(48n) <
+      Sigma(n) < A(n) for n >= 2.
+    - At each block start x = alpha_floor(m) + 1, Sigma(x) > A(x) - 1/(4x)
+      > m + 1, as 11/48 < 1/4; at each block end n = alpha_floor(m),
+      Sigma(n) < A(n) < m + 1.
+    - Sigma increases (Sigma(n+1) - Sigma(n) = (sqrt(n+1) - Sigma(n)) /
+      (n+1) > 0) and Sigma(1) = 1, so m <= Sigma(n) < m + 1 on each block
+      alpha_floor(m - 1) < n <= alpha_floor(m), where floor(A(n)) = m.
+    The delta bracket is the one cited premise."""
+    return _check_certificates(_LEMMA3_CERTIFICATES)
 
 
 _VERIFY_MODES = {
@@ -311,6 +299,7 @@ _VERIFY_MODES = {
     "lemma2": _verify_lemma2,
     "lemma3": _verify_lemma3,
 }
+_PROOF_MODES = ("lemma2", "lemma3")  # proved for every x and m: no --max-n read
 
 
 def _run_verify(args: argparse.Namespace) -> "tuple[QueryResult, int]":
@@ -322,9 +311,10 @@ def _run_verify(args: argparse.Namespace) -> "tuple[QueryResult, int]":
         extra.update(
             {"counterexample_n": where, "expected": expected, "got": got}
         )
+    bound = {} if args.mode in _PROOF_MODES else {"max_n": str(args.max_n)}
     result = QueryResult(
         "verify",
-        {"max_n": str(args.max_n), "mode": args.mode},
+        {**bound, "mode": args.mode},
         f"{passed}/{checked}",
         "0",
         args.mode,

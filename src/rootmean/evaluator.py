@@ -47,7 +47,9 @@ from operator import add, floordiv, lshift, ne, or_, rshift, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _scaled
-from .asymptotic import Enclosure, _check_float_range, _outward, _Record, _round_up
+from .asymptotic import (
+    Enclosure, _check_float_range, _outward, _real_number, _Record, _round_up
+)
 from .exactfloor import _as_index, alpha_floor, floor_A_exact
 
 if TYPE_CHECKING:
@@ -87,10 +89,7 @@ _ORACLE_ONE = 1 << 54  # oracle unit 2**-54: half a spacing of a root >= 1 is wh
 
 
 def _check_eps(epsilon: float) -> float:
-    # float() would parse text and take a bool as 0 or 1
-    if isinstance(epsilon, (str, bytes, bytearray, bool)):
-        raise TypeError(f"epsilon must be a real number, got {epsilon!r}")
-    epsilon = float(epsilon)
+    epsilon = _real_number(epsilon, "epsilon")
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be a finite positive real, got {epsilon!r}")
     return epsilon

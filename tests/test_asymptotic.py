@@ -139,8 +139,8 @@ class TestSigma:
             _scaled.sigma_enc(0, 10)
         with pytest.raises(TypeError):
             delta_bounds(1.0, 10)
-        with pytest.raises(ValueError):
-            delta_bounds(1, 2 ** 53 + 3)  # beyond the floating path
+        # exact integers rounded once: n past 2**53 is accepted
+        assert 0.0 < delta_bounds(1, 2 ** 53 + 3).lower
 
 
 class TestDeltaBounds:
@@ -311,6 +311,11 @@ class TestRootOrder:
     def test_rejects_non_numeric(self):
         with pytest.raises(TypeError):
             RootOrder("2")
+        # float() would parse a bytearray too
+        with pytest.raises(TypeError, match="r must be a real number"):
+            RootOrder(bytearray(b"2"))
+        with pytest.raises(TypeError, match="r must be a real number"):
+            partial_sum_root_enclosure(1, 10, bytearray(b"3"))
 
     def test_rejects_bool(self):
         # True is an int only by accident: it must not pass as r = 1
@@ -367,8 +372,8 @@ class TestPartialSumSqrt:
             partial_sum_sqrt_enclosure(5, 5)
         with pytest.raises(ValueError):
             partial_sum_sqrt_enclosure(6, 5)
-        with pytest.raises(ValueError):
-            partial_sum_sqrt_enclosure(1, 2 ** 53 + 2)
+        with pytest.raises(ValueError, match="largest finite"):
+            partial_sum_sqrt_enclosure(1, 10 ** 210)
         with pytest.raises(TypeError):
             partial_sum_sqrt_enclosure(1.0, 10)
         with pytest.raises(TypeError):
@@ -377,6 +382,42 @@ class TestPartialSumSqrt:
     def test_boundary_of_float_range_works(self):
         e = partial_sum_sqrt_enclosure(1, 2 ** 53)
         assert e.lo < e.hi
+
+    @pytest.mark.parametrize("n", [10 ** 30, 10 ** 100, 10 ** 200], ids=["10**30", "10**100", "10**200"])
+    def test_past_2_53_overlaps_the_prefix_bracket(self, n):
+        # exact integers rounded once, so n may pass 2**53: each enclosure
+        # overlaps the independent Euler-Maclaurin bracket S(n) - S(nu - 1)
+        one = _scaled.ONE
+        for nu in (1, 2, n // 3, n - 1):
+            e = partial_sum_sqrt_enclosure(nu, n)
+            assert e == partial_sum_root_enclosure(nu, n, 2)
+            lo, hi = _scaled.partial_sum_enc(n)
+            if nu > 1:
+                b_lo, b_hi = _scaled.partial_sum_enc(nu - 1)
+                lo, hi = lo - b_hi, hi - b_lo
+            assert Fraction(e.lo) <= Fraction(hi, one) and Fraction(lo, one) <= Fraction(e.hi)
+            db = delta_bounds(nu, n)
+            assert 0.0 <= db.lower <= db.upper
+            assert Fraction(db.upper) >= Fraction(_scaled.sigma_enc(nu, n)[1], one)
+
+    def test_refuses_a_sum_past_binary64(self):
+        # the sum passes binary64's largest finite value near n = 4.2e205
+        assert math.isfinite(partial_sum_sqrt_enclosure(1, 4 * 10 ** 205).hi)
+        for n in (10 ** 210, 10 ** 5000):
+            with pytest.raises(ValueError, match="largest finite"):
+                partial_sum_sqrt_enclosure(1, n)
+            with pytest.raises(ValueError, match="largest finite"):
+                partial_sum_root_enclosure(1, n, 2)
+        # delta stays below 3/2 at any n: delta_bounds has no such limit
+        assert delta_bounds(1, 10 ** 5000).upper <= 1.5
+
+    def test_delta_lower_end_clamped_at_zero(self):
+        # the 2**-96 grid puts sigma(nu+2, n+2)'s lower end at about
+        # -2.5e-29 here; sigma > 0, so the bracket starts at 0.0
+        assert _scaled.sigma_enc(10 ** 99 + 2, 10 ** 100 + 2)[0] < 0
+        db = delta_bounds(10 ** 99, 10 ** 100)
+        assert db.lower == 0.0 and math.copysign(1.0, db.lower) == 1.0
+        assert 0.0 < db.upper < 1e-28
 
 
 class TestPartialSumRoot:

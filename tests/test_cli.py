@@ -216,8 +216,19 @@ class TestSum:
         assert code == 2 and "--from" in err
         code, _, err = run_cli(capsys, "sum", "--from", "1", "--to", "10", "--root", "0.5")
         assert code == 2
-        code, _, err = run_cli(capsys, "sum", "--from", "1", "--to", str(2 ** 53 + 2))
+        # the float path for r other than 1 and 2 refuses --to past 2**53
+        code, _, err = run_cli(
+            capsys, "sum", "--from", "1", "--to", str(2 ** 53 + 2), "--root", "3"
+        )
         assert code == 2 and "floor" in err
+
+    def test_square_root_past_2_53(self, capsys):
+        # exact integers rounded once: the square root takes --to past
+        # 2**53, up to where its sum passes binary64's largest finite value
+        code, out, _ = run_cli(capsys, "sum", "--from", "1", "--to", str(2 ** 53 + 2))
+        assert code == 0 and parse_text_record(out)["method"] == "enclosure"
+        code, out, err = run_cli(capsys, "sum", "--from", "1", "--to", str(10 ** 210))
+        assert code == 2 and out == "" and "largest finite" in err
 
 
 class TestVerify:
@@ -258,39 +269,30 @@ class TestVerify:
         )
         assert code == 2 and "10**6" in err
 
-    def test_lemma3_mode_is_bounded(self, capsys):
-        code, _, err = run_cli(
-            capsys, "verify", "--max-n", "2000000", "--mode", "lemma3"
-        )
-        assert code == 2 and "10**6" in err
-
     @pytest.mark.parametrize(
         "max_n", [10 ** 16, 10 ** 20, 10 ** 1000], ids=["10**16", "10**20", "10**1000"]
     )
     def test_lemma2_exact_far_past_binary64(self, capsys, max_n):
         # a binary64 check of these envelopes reported 155 and 932 false
         # counterexamples at 10**16 and 10**20: A(x) and the lower envelope
-        # agree there to within an ulp
+        # agree there to within an ulp.  The certificates are exact and hold
+        # for every x, so --max-n changes nothing
         code, out, err = run_cli(capsys, "verify", "--max-n", str(max_n), "--mode", "lemma2")
         assert code == 0, err
         rec = parse_text_record(out)
         assert rec["failures"] == "0"
-        passed, checked = rec["value"].split("/")
-        assert passed == checked and int(checked) > 3900
+        assert rec["value"] == "3/3"
 
-    def test_lemma2_mode_is_bounded(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--max-n", str(10 ** 1000 + 1), "--mode", "lemma2"
-        )
-        assert code == 2 and out == "" and "10**1000" in err
-
-    def test_lemma2_grid_is_exact_and_in_range(self):
-        for max_n in (2, 5, 6, 10 ** 5, 10 ** 400):
-            grid = cli._lemma2_grid(max_n)
-            values = [Fraction(p, q) for p, q in grid]
-            assert values == sorted(set(values))
-            assert values[0] == 2 and values[-1] == max_n
-            assert (6 in values) == (max_n >= 6)
+    @pytest.mark.parametrize("mode,value", [("lemma2", "3/3"), ("lemma3", "4/4")])
+    def test_proof_modes_take_any_max_n(self, capsys, mode, value):
+        # past the 4300-digit int/str limit: the mode reads no bound, and
+        # its record reports none
+        for extra in ([], ["--max-n", "1" + "0" * 5000]):
+            code, out, err = run_cli(capsys, "verify", "--mode", mode, "--format", "json", *extra)
+            assert code == 0 and err == ""
+            rec = json.loads(out)
+            assert "max_n" not in rec
+            assert rec["value"] == value and rec["failures"] == "0"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -306,8 +308,8 @@ class TestVerify:
             a = 2 * mp.sqrt(x + 1) * (1 + 1 / (4 * x)) / 3
             upper = a - 2 * mp.sqrt(x + 2) / 3
             lower = a - 2 * mp.sqrt(x + mp.mpf(5) / 4) / 3 - 1 / (4 * x)
-        assert cli._under_upper_envelope(p, q) == (upper < 0)
-        assert cli._over_lower_envelope(p, q) == (lower > 0)
+        assert (cli._upper_gap(p, q) > 0) == (upper < 0)
+        assert (cli._lower_gap(p, q) > 0 and cli._lower_square_gap(p, q) > 0) == (lower > 0)
 
     @pytest.mark.parametrize(
         "x,upper,lower",
@@ -324,8 +326,9 @@ class TestVerify:
         # the upper claim holds from (9 + sqrt(113))/16 = 1.22688 on, the
         # lower one from the root 5.73101 of 256x^4 - 1152x^3 - 1744x^2 -
         # 360x + 25, the difference of the two sides of its last squaring
-        assert cli._under_upper_envelope(x.numerator, x.denominator) == upper
-        assert cli._over_lower_envelope(x.numerator, x.denominator) == lower
+        p, q = x.numerator, x.denominator
+        assert (cli._upper_gap(p, q) > 0) == upper
+        assert (cli._lower_gap(p, q) > 0 and cli._lower_square_gap(p, q) > 0) == lower
 
     def test_step_predicates_match_mpmath_dense(self):
         # every n up to 3000 against the integers around A(n)
@@ -333,8 +336,8 @@ class TestVerify:
             for n in range(1, 3001):
                 a = 2 * mp.sqrt(n + 1) * (1 + mp.mpf(1) / (4 * n)) / 3
                 for s in range(max(1, int(a) - 1), int(a) + 3):
-                    assert cli._below_step(n, s) == (a < s), (n, s)
-                    assert cli._over_step(n, s) == (a - mp.mpf(1) / (4 * n) > s), (n, s)
+                    assert (cli._below_gap(n, s) > 0) == (a < s), (n, s)
+                    assert (cli._over_gap(n, s) > 0) == (a - mp.mpf(1) / (4 * n) > s), (n, s)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=10 ** 40), st.integers(min_value=-3, max_value=3))
@@ -343,13 +346,130 @@ class TestVerify:
         n = max(1, alpha_floor(m) + shift)
         with mp.workdps(200):
             a = 2 * mp.sqrt(n + 1) * (1 + mp.mpf(1) / (4 * n)) / 3
-            assert cli._below_step(n, m + 1) == (a < m + 1)
-            assert cli._over_step(n, m + 1) == (a - mp.mpf(1) / (4 * n) > m + 1)
+            assert (cli._below_gap(n, m + 1) > 0) == (a < m + 1)
+            assert (cli._over_gap(n, m + 1) > 0) == (a - mp.mpf(1) / (4 * n) > m + 1)
 
     def test_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "--max-n", "10", "--mode", "nosuch")
         assert exc.value.code == 2
+
+
+def _over_gap_one_third(x, s):
+    # the over-step gap with 1/(4x) mutated to 1/(3x): times 12x the claim
+    # reads 2(4x+1) sqrt(x+1) > 12xs + 4
+    return 4 * (4 * x + 1) ** 2 * (x + 1) - (12 * x * s + 4) ** 2
+
+
+def _odd_n_even_s(u):
+    # odd m's block start x = 9t^2 - 1 with even m's s = 2t + 1
+    return 9 * (u + 1) ** 2 - 1, 2 * u + 3
+
+
+def _fitted(gap, point, degree):
+    """The coefficients of gap(*point(u)), constant first, fitted exactly
+    through u = 0..degree by Newton's forward differences: an independent
+    expansion to show that a mutant's own polynomial has a coefficient <= 0."""
+    values = [gap(*point(u)) for u in range(degree + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    coefficients = [Fraction(0)] * (degree + 1)
+    falling = [Fraction(1)]  # u (u-1) ... (u-k+1) / k!, constant first
+    for k, d in enumerate(diffs):
+        for i, c in enumerate(falling):
+            coefficients[i] += d * c
+        falling = [Fraction(0)] + falling
+        for i in range(len(falling) - 1):
+            falling[i] -= k * falling[i + 1]
+        falling = [c / (k + 1) for c in falling]
+    while coefficients and coefficients[-1] == 0:
+        coefficients.pop()
+    assert all(c.denominator == 1 for c in coefficients)
+    return tuple(int(c) for c in coefficients)
+
+
+class TestCertificates:
+    CERTIFICATES = cli._LEMMA2_CERTIFICATES + cli._LEMMA3_CERTIFICATES
+
+    def test_modes_check_every_certificate(self):
+        assert cli._verify_lemma2() == (3, [])
+        assert cli._verify_lemma3() == (4, [])
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_stored_coefficients_are_the_gap(self, index):
+        _, _, gap, point, degree, coefficients = self.CERTIFICATES[index]
+        assert cli._certified(gap, point, degree, coefficients)
+        assert _fitted(gap, point, degree) == coefficients
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 40))
+    def test_polynomial_equals_gap_far_out(self, u):
+        # a sampled cross-check of the degree bounds: past u = degree the
+        # gap still equals its certificate's polynomial
+        for _, _, gap, point, _, coefficients in self.CERTIFICATES:
+            value = sum(c * u ** i for i, c in enumerate(coefficients))
+            assert gap(*point(u)) == value > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10 ** 40))
+    def test_lemma3_points_are_alpha_floor(self, m):
+        # odd m = 2u + 1: n = 9t^2 - 2; even m = 2u + 2: n = 9t^2 + 9t;
+        # t = u + 1, s = m + 1, and the over-step point is x = n + 1
+        below, over = cli._LEMMA3_CERTIFICATES[0:2] if m % 2 else cli._LEMMA3_CERTIFICATES[2:4]
+        u = (m - 1) // 2
+        assert below[3](u) == (alpha_floor(m), m + 1)
+        assert over[3](u) == (alpha_floor(m) + 1, m + 1)
+
+    def test_mutant_one_third_fails(self):
+        # A(x) - 1/(3x) > m + 1 happens to hold too, but not by these
+        # certificates: the mutated gap is another polynomial
+        for _, _, gap, point, degree, coefficients in cli._LEMMA3_CERTIFICATES:
+            if gap is cli._over_gap:
+                assert not cli._certified(_over_gap_one_third, point, degree, coefficients)
+
+    @pytest.mark.parametrize(
+        "gap,shift,degree",
+        [(cli._upper_gap, 1, 3), (cli._lower_gap, 0, 2), (cli._lower_square_gap, 5, 4)],
+    )
+    def test_mutant_shift_leaves_a_negative_coefficient(self, gap, shift, degree):
+        # shifted below the lemma's domain, the gap's own polynomial has a
+        # negative coefficient, so no certificate can hold
+        point = lambda u: (u + shift, 1)  # noqa: E731
+        coefficients = _fitted(gap, point, degree)
+        assert min(coefficients) < 0
+        assert not cli._certified(gap, point, degree, coefficients)
+        for _, _, stored_gap, _, stored_degree, stored in cli._LEMMA2_CERTIFICATES:
+            if stored_gap is gap:
+                assert not cli._certified(gap, point, stored_degree, stored)
+
+    def test_mutant_wrong_parity_fails(self):
+        # odd m's n with even m's s: the over-step claim is false (A(x) is
+        # near 2t, below s = 2t + 1), and every coefficient is negative
+        for _, _, gap, _, degree, coefficients in cli._LEMMA3_CERTIFICATES:
+            assert not cli._certified(gap, _odd_n_even_s, degree, coefficients)
+        assert max(_fitted(cli._over_gap, _odd_n_even_s, 6)) < 0
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_mutant_coefficient_off_by_one(self, index):
+        _, _, gap, point, degree, coefficients = self.CERTIFICATES[index]
+        for i in range(len(coefficients)):
+            for step in (-1, 1):
+                wrong = list(coefficients)
+                wrong[i] += step
+                assert not cli._certified(gap, point, degree, tuple(wrong))
+
+    def test_a_failing_certificate_exits_1(self, capsys, monkeypatch):
+        domain, claim, _, point, degree, coefficients = cli._LEMMA3_CERTIFICATES[1]
+        mutant = (domain, claim, _over_gap_one_third, point, degree, coefficients)
+        monkeypatch.setattr(
+            cli, "_LEMMA3_CERTIFICATES", (*cli._LEMMA3_CERTIFICATES[:1], mutant)
+        )
+        code, out, _ = run_cli(capsys, "verify", "--mode", "lemma3")
+        rec = parse_text_record(out)
+        assert code == 1 and rec["value"] == "1/2" and rec["failures"] == "1"
+        assert rec["counterexample_n"] == domain and rec["expected"] == claim
 
 
 class TestBench:
@@ -380,7 +500,7 @@ class TestHugeInputs:
     def test_sum(self, capsys):
         code, out, err = run_cli(capsys, "sum", "--from", "1", "--to", self.HUGE, "--root", "2")
         assert code == 2 and out == ""
-        assert "2**53" in err and "4300" not in err
+        assert "largest finite" in err and "4300" not in err
 
     def test_bench(self, capsys):
         code, out, err = run_cli(capsys, "bench", self.HUGE)

@@ -1,7 +1,10 @@
 """numpy is loaded only by the oracle and the sweep: importing the package,
 exact floors, the partial-sum enclosures, every certified mean (fast_mean
 and `rootmean mean`) and the exact verify modes (delta, lemma2, lemma3)
-never load it.  Importing the package and its CLI loads no dataclasses."""
+never load it.  Importing the package and its CLI loads no dataclasses.
+After the standard modules the benchmark worker imports itself, `import
+rootmean` loads only `__future__` and the package's own modules, and not
+its CLI."""
 
 import os
 import subprocess
@@ -14,8 +17,14 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(rootmean.__file__)))
 # run in a fresh isolated interpreter: this test process has numpy loaded
 SCRIPT = """
 import sys
+import json, os, resource, statistics, time, array
 sys.path.insert(0, {src!r})
-import rootmean, rootmean.cli
+before = set(sys.modules)
+import rootmean
+added = sorted(set(sys.modules) - before)
+assert all(m == "__future__" or m.startswith("rootmean.") or m == "rootmean" for m in added), added
+assert "rootmean.cli" not in added, added
+import rootmean.cli
 assert "dataclasses" not in sys.modules
 from rootmean import (
     fast_mean, floor_A_exact, floor_via_alpha, partial_sum_root_enclosure
