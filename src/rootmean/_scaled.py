@@ -13,12 +13,15 @@ the operands reach ~2e7 while the admissible bracket margin shrinks like
 nu^(-3/2) (below 1e-12 for nu near n <= 1e5), so a single rounding of the
 main term already overwhelms the comparison.
 
-partial_sum_enc brackets the whole sum sum_{k=1}^{n} sqrt(k) for any n: an
-exact 63-term head, an import-time bracket of zeta(-1/2), and the n-side
-Euler-Maclaurin terms, each a rational times sqrt_enc(n).  delta_enc takes
-the difference of two such brackets, about 32 (n + nu) units wide: 8e-22
-at n = 10**6, where the containment margin at nu = n - 1 is 1.5e-15.  That
-margin falls like n**(-5/2) and meets the width near n = 10**8.
+partial_sum_enc (S) brackets the whole sum sum_{k=1}^{n} sqrt(k) for any
+n: an exact 63-term head, an import-time bracket of zeta(-1/2), and the
+n-side Euler-Maclaurin terms, each a rational times sqrt_enc(n).  Every
+range sum_{k=nu}^{n} sqrt(k) is read as range_enc = S(n) - S(nu - 1),
+about (2/3)(n + nu) units wide.  asymptotic's square-root enclosure rounds
+it outward once; delta_enc subtracts 24 times it from the paper's main
+terms, about 32 (n + nu) units wide: 8e-22 at n = 10**6, where the
+containment margin at nu = n - 1 is 1.5e-15.  That margin falls like
+n**(-5/2) and meets the width near n = 10**8.
 
 Internal module; the public floating-point API lives in asymptotic and
 evaluator.
@@ -54,43 +57,32 @@ def rsqrt_enc(x: int) -> tuple[int, int]:
     return g, g + 2
 
 
-def _div6(lo: int, hi: int) -> tuple[int, int]:
-    # floor the lower endpoint, ceil the upper
-    return lo // 6, -((-hi) // 6)
-
-
-def nA_enc(n: int) -> tuple[int, int]:
-    """Bracket of n * A(n) * 2**BITS, using n*A(n) = (4n+1) sqrt(n+1) / 6
-    for A(x) = (2/3) sqrt(x+1) (1 + 1/(4x))."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    s_lo, s_hi = sqrt_enc(n + 1)
-    t = 4 * n + 1
-    return _div6(t * s_lo, t * s_hi)
-
-
-def head_enc(nu: int) -> tuple[int, int]:
-    """Bracket of (2/3) sqrt(nu) (nu - 3/4) * 2**BITS = (4 nu - 3) sqrt(nu) / 6."""
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
-    s_lo, s_hi = sqrt_enc(nu)
-    t = 4 * nu - 3
-    return _div6(t * s_lo, t * s_hi)
+def range_enc(nu: int, n: int) -> tuple[int, int]:
+    """Bracket of sum_{k=nu}^{n} sqrt(k) * 2**BITS for 1 <= nu <= n (the
+    caller checks the range): S(n) - S(nu - 1), with S = partial_sum_enc and
+    S(0) = 0, so O(1) integer operations at any n."""
+    t_lo, t_hi = partial_sum_enc(n)
+    if nu == 1:
+        return t_lo, t_hi
+    b_lo, b_hi = partial_sum_enc(nu - 1)
+    return t_lo - b_hi, t_hi - b_lo
 
 
 def delta_enc(nu: int, n: int) -> tuple[int, int]:
     """Bracket of the recovered remainder
     delta = 24 (n A(n) - (2/3) sqrt(nu)(nu - 3/4) - sum_{k=nu}^{n} sqrt(k)),
-    scaled by 2**BITS; needs 1 <= nu < n.  The sum is S(n) - S(nu - 1), with
-    S = partial_sum_enc and S(0) = 0: O(1) integer operations at any n."""
+    scaled by 2**BITS; needs 1 <= nu < n.  The main terms are read with no
+    division, 24 n A(n) = 4 (4n + 1) sqrt(n + 1) and 24 (2/3) sqrt(nu)
+    (nu - 3/4) = 4 (4 nu - 3) sqrt(nu), each a positive integer times
+    sqrt_enc; the sum is range_enc(nu, n).  Dividing each main term by 6
+    first could only widen this: 24 floor(x/6) <= 4x <= 24 ceil(x/6)."""
     if not 1 <= nu < n:
         raise ValueError(f"need 1 <= nu < n, got nu={nu}, n={n}")
-    a_lo, a_hi = nA_enc(n)
-    h_lo, h_hi = head_enc(nu)
-    t_lo, t_hi = partial_sum_enc(n)
-    b_lo, b_hi = partial_sum_enc(nu - 1) if nu > 1 else (0, 0)
-    s_lo, s_hi = t_lo - b_hi, t_hi - b_lo
-    return 24 * (a_lo - h_hi - s_hi), 24 * (a_hi - h_lo - s_lo)
+    a, h = 4 * (4 * n + 1), 4 * (4 * nu - 3)
+    a_lo, a_hi = sqrt_enc(n + 1)
+    h_lo, h_hi = sqrt_enc(nu)
+    s_lo, s_hi = range_enc(nu, n)
+    return a * a_lo - h * h_hi - 24 * s_hi, a * a_hi - h * h_lo - 24 * s_lo
 
 
 def sigma_enc(nu: int, n: int) -> tuple[int, int]:

@@ -1,6 +1,6 @@
 """Certified floating-point enclosures for partial sums of k^(1/r).
 
-The square-root identity (for 1 <= nu < n) is
+The paper's square-root identity (for 1 <= nu < n) is
 
     sum_{k=nu}^{n} sqrt(k) = n A(n) - (2/3) sqrt(nu) (nu - 3/4) - delta/24,
     A(x) = (2/3) sqrt(x+1) (1 + 1/(4x)),
@@ -12,7 +12,8 @@ integrating sqrt over [nu, n] and is pinned by elementary terms:
     sigma(nu, n) = 3/2 - n^(-1/2)            if nu == 1,
                    (nu-1)^(-1/2) - n^(-1/2)  otherwise.
 
-The r-th-root generalization replaces the main term by
+For r other than 1 and 2 the enclosure takes the paper's r-th-root
+generalization, which replaces the main term by
 
     (r/(r+1)) (n+1)^(1/r) (n + (1-1/r)/2) - (r/(r+1)) nu^(1/r) (nu - (1+1/r)/2)
 
@@ -20,10 +21,15 @@ with remainder delta_r/(12 r), delta_r bracketed by sigma_r of the same
 shape (2 - 1/r - n^(-1+1/r) for nu == 1, else (nu-1)^(-1+1/r) - n^(-1+1/r));
 r = 1 is exact (delta_1 = 0: the arithmetic series).
 
+delta_bounds returns the sigma bracket, and `rootmean verify --mode delta`
+checks it against the delta that _scaled.delta_enc recovers.  The
+square-root enclosure does not use it: it is S(n) - S(nu - 1), S being
+the Euler-Maclaurin bracket of the whole sum (_scaled.partial_sum_enc).
+
 Endpoints are binary64.  The square-root and r = 1 sums are bracketed
-exactly in integers (_scaled) and rounded outward once, at any n whose sum
-binary64 holds; the other r are evaluated in binary64, widened by an error
-budget, and refuse integers that binary64 cannot represent exactly.
+exactly in integers and rounded outward once, at any n whose sum binary64
+holds; the other r are evaluated in binary64, widened by an error budget,
+and refuse integers that binary64 cannot represent exactly.
 """
 
 from __future__ import annotations
@@ -229,15 +235,27 @@ def eval_A(x: float) -> float:
     return (2.0 / 3.0) * math.sqrt(x + 1.0) * (1.0 + 0.25 / x)
 
 
+def _index_range(nu: object, n: object) -> tuple[int, int]:
+    """(nu, n) checked as exact integers with 1 <= nu < n: the one range
+    check of delta_bounds and the partial-sum enclosures."""
+    nu = _as_index(nu, name="nu")
+    n = _as_index(n)
+    if nu >= n:
+        raise ValueError("need nu < n")
+    return nu, n
+
+
+def _series_sum(nu: int, n: int) -> int:
+    """sum_{k=nu}^{n} k for integers nu <= n, exactly: the r = 1 series."""
+    return (nu + n) * (n - nu + 1) // 2
+
+
 def delta_bounds(nu: int, n: int) -> DeltaBounds:
     """The bracket (sigma(nu+2, n+2), sigma(nu, n)) around the remainder
     delta_{nu,n}, taken from the exact 2**96-scaled brackets and rounded
     outward once, for any nu < n; sigma(nu+2, n+2) > 0, so a lower end the
     2**-96 grid puts at or below 0 (as near n = 10**100) is raised to 0.0."""
-    nu = _as_index(nu, name="nu")
-    n = _as_index(n)
-    if nu >= n:
-        raise ValueError("need nu < n")
+    nu, n = _index_range(nu, n)
     enc = _outward(
         _scaled.sigma_enc(nu + 2, n + 2)[0], _scaled.sigma_enc(nu, n)[1], _scaled.ONE
     )
@@ -267,20 +285,11 @@ def _outward(lo: int, hi: int, den: int = 1) -> Enclosure:
 
 def partial_sum_sqrt_enclosure(nu: int, n: int) -> Enclosure:
     """Certified enclosure of sum_{k=nu}^{n} sqrt(k) for 1 <= nu < n, without
-    summing anything: 24 sum = 24 (n A(n) - (2/3) sqrt(nu)(nu - 3/4)) - delta,
-    bracketed in 2**96-scaled integers with delta between sigma(nu+2, n+2)
-    and sigma(nu, n), then rounded outward once; n up to about 4.2e205."""
-    nu = _as_index(nu, name="nu")
-    n = _as_index(n)
-    if nu >= n:
-        raise ValueError("need nu < n")
-    a_lo, a_hi = _scaled.nA_enc(n)
-    h_lo, h_hi = _scaled.head_enc(nu)
-    s_hi = _scaled.sigma_enc(nu, n)[1]
-    s2_lo = _scaled.sigma_enc(nu + 2, n + 2)[0]
-    return _outward(
-        24 * (a_lo - h_hi) - s_hi, 24 * (a_hi - h_lo) - s2_lo, 24 * _scaled.ONE
-    )
+    summing anything: S(n) - S(nu - 1), with S the Euler-Maclaurin bracket of
+    the whole sum (_scaled.partial_sum_enc) in 2**96-scaled integers and
+    S(0) = 0, rounded outward once; n up to about 4.2e205."""
+    nu, n = _index_range(nu, n)
+    return _outward(*_scaled.range_enc(nu, n), _scaled.ONE)
 
 
 def _pow_value(x: float, e: float) -> tuple[float, float]:
@@ -332,18 +341,14 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
     n <= 2**53, and the r-th-root main term minus the sigma_r/(12 r) bracket,
     widened outward including the exp/log evaluation budget.
     """
-    order = r if isinstance(r, RootOrder) else RootOrder(r)
-    nu = _as_index(nu, name="nu")
-    n = _as_index(n)
-    if nu >= n:
-        raise ValueError("need nu < n")
-    rv = order.r
-    if rv == 1.0:
-        # exact integer series: no width limit, but binary64 endpoints
-        exact = (n * (n + 1) - nu * (nu - 1)) // 2
-        return _outward(exact, exact)
+    rv = (r if isinstance(r, RootOrder) else RootOrder(r)).r
     if rv == 2.0:
         return partial_sum_sqrt_enclosure(nu, n)
+    nu, n = _index_range(nu, n)
+    if rv == 1.0:
+        # exact integer series: no width limit, but binary64 endpoints
+        exact = _series_sum(nu, n)
+        return _outward(exact, exact)
     _check_float_range(n)
 
     t1, t2, rel = _root_main_term(nu, n, rv)

@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import _scaled
-from .asymptotic import _Record, partial_sum_root_enclosure
+from .asymptotic import _Record, _series_sum, partial_sum_root_enclosure
 from .evaluator import _DEFAULT_CAP, fast_mean, oracle_mean, sweep_theorem1
 from .exactfloor import floor_A_exact
 
@@ -132,7 +132,7 @@ def _run_sum(args: argparse.Namespace) -> "tuple[QueryResult, int]":
         raise ValueError("need --from < --to")
     inputs = {"from": _digits(start), "to": _digits(stop), "root": repr(root)}
     if root == 1.0:
-        exact = (start + stop) * (stop - start + 1) // 2
+        exact = _series_sum(start, stop)
         return QueryResult("sum", inputs, _digits(exact), "0", "exact"), 0
     enc = partial_sum_root_enclosure(start, stop, root)
     return (

@@ -4,6 +4,7 @@ domain validation, and the package's frozen records."""
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from rootmean.asymptotic import (
     DeltaBounds,
     Enclosure,
     RootOrder,
+    _outward,
     _root_main_term,
     delta_bounds,
     eval_A,
@@ -38,6 +40,20 @@ def mp_root_sum(a: int, b: int, r: float) -> mp.mpf:
 def mp_sqrt_sum(a: int, b: int) -> mp.mpf:
     with mp.workdps(60):
         return mp.fsum(mp.sqrt(k) for k in range(a, b + 1))
+
+
+def paper_route_enclosure(nu: int, n: int) -> Enclosure:
+    """The paper's enclosure of sum_{k=nu}^{n} sqrt(k), a reference
+    independent of the Euler-Maclaurin bracket: 24 sum = 4 (4n + 1)
+    sqrt(n + 1) - 4 (4 nu - 3) sqrt(nu) - delta, with delta between
+    sigma(nu+2, n+2) and sigma(nu, n), in 2**96-scaled integers rounded
+    outward once."""
+    a_lo, a_hi = _scaled.sqrt_enc(n + 1)
+    h_lo, h_hi = _scaled.sqrt_enc(nu)
+    a, h = 4 * (4 * n + 1), 4 * (4 * nu - 3)
+    s_hi = _scaled.sigma_enc(nu, n)[1]
+    s2_lo = _scaled.sigma_enc(nu + 2, n + 2)[0]
+    return _outward(a * a_lo - h * h_hi - s_hi, a * a_hi - h * h_lo - s2_lo, 24 * _scaled.ONE)
 
 
 class TestEvalA:
@@ -334,7 +350,8 @@ class TestPartialSumSqrt:
     def test_frozen_full_range(self):
         e = partial_sum_sqrt_enclosure(1, 100)
         assert e.contains(671.4629471031477)  # direct-summation value
-        assert e.width() < 0.034
+        assert e.half_width() <= 2.3e-13
+        assert mp.mpf(e.lo) <= mp_sqrt_sum(1, 100) <= mp.mpf(e.hi)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=2999), st.integers(min_value=1, max_value=3000))
@@ -358,14 +375,15 @@ class TestPartialSumSqrt:
         assert mp.mpf(e.lo) <= truth <= mp.mpf(e.hi)
 
     def test_width_tracks_bracket_span(self):
-        # the interval width is the bracket span / 24 plus only the small
-        # outward rounding margins
+        # the enclosure is the bracket S(n) - S(nu - 1) rounded outward once;
+        # that bracket is under 1e-22 wide here, so the width is the
+        # rounding to binary64: one or two ulps
         nu, n = 100, 10 ** 7
         e = partial_sum_sqrt_enclosure(nu, n)
-        span = (_scaled.sigma_enc(nu, n)[1] - _scaled.sigma_enc(nu + 2, n + 2)[0]) / _scaled.ONE
-        margin = 2.0 * math.ulp(abs(e.hi))
-        assert e.width() <= span / 24.0 * (1.0 + 2.0 ** -40) + margin
-        assert e.width() >= span / 24.0 * (1.0 - 2.0 ** -40)
+        lo, hi = _scaled.range_enc(nu, n)
+        assert Fraction(e.lo) <= Fraction(lo, _scaled.ONE)
+        assert Fraction(hi, _scaled.ONE) <= Fraction(e.hi)
+        assert e.width() <= 2.0 * math.ulp(e.hi)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -383,19 +401,33 @@ class TestPartialSumSqrt:
         e = partial_sum_sqrt_enclosure(1, 2 ** 53)
         assert e.lo < e.hi
 
+    def test_no_wider_than_the_paper_route(self):
+        # on a seeded grid up to 2**53 the Euler-Maclaurin enclosure is
+        # never wider than the paper's, and the two proven enclosures meet
+        rng = random.Random(26)
+        narrower = 0
+        for _ in range(1500):
+            n = min(2 ** 53, rng.randrange(2, 2 ** rng.randrange(2, 54) + 1))
+            nu = min(n - 1, rng.choice([1, 2, n - 1, rng.randrange(1, n)]))
+            e, ref = partial_sum_sqrt_enclosure(nu, n), paper_route_enclosure(nu, n)
+            assert e.width() <= ref.width(), (nu, n)
+            assert max(e.lo, ref.lo) <= min(e.hi, ref.hi), (nu, n)
+            narrower += e.width() < ref.width()
+        assert narrower >= 300
+
     @pytest.mark.parametrize("n", [10 ** 30, 10 ** 100, 10 ** 200], ids=["10**30", "10**100", "10**200"])
     def test_past_2_53_overlaps_the_prefix_bracket(self, n):
-        # exact integers rounded once, so n may pass 2**53: each enclosure
-        # overlaps the independent Euler-Maclaurin bracket S(n) - S(nu - 1)
+        # exact integers rounded once, so n may pass 2**53: the paper's
+        # enclosure, built from sqrt_enc and sigma_enc alone, overlaps the
+        # Euler-Maclaurin bracket S(n) - S(nu - 1) and its rounding
         one = _scaled.ONE
         for nu in (1, 2, n // 3, n - 1):
             e = partial_sum_sqrt_enclosure(nu, n)
             assert e == partial_sum_root_enclosure(nu, n, 2)
-            lo, hi = _scaled.partial_sum_enc(n)
-            if nu > 1:
-                b_lo, b_hi = _scaled.partial_sum_enc(nu - 1)
-                lo, hi = lo - b_hi, hi - b_lo
-            assert Fraction(e.lo) <= Fraction(hi, one) and Fraction(lo, one) <= Fraction(e.hi)
+            ref = paper_route_enclosure(nu, n)
+            lo, hi = _scaled.range_enc(nu, n)
+            assert Fraction(ref.lo) <= Fraction(hi, one) and Fraction(lo, one) <= Fraction(ref.hi), nu
+            assert max(e.lo, ref.lo) <= min(e.hi, ref.hi), nu
             db = delta_bounds(nu, n)
             assert 0.0 <= db.lower <= db.upper
             assert Fraction(db.upper) >= Fraction(_scaled.sigma_enc(nu, n)[1], one)

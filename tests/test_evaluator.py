@@ -424,10 +424,16 @@ class TestFastMean:
         # sits 4.1e-10 above the mean; the certificate sits on Sigma(n)
         n, nu = 10 ** 7, 100
         head = oracle_sum_sqrt(1, nu)
-        scale = lambda x: int(math.ldexp(x, _scaled.BITS))
-        lo = _scaled.nA_enc(n)[0] + scale(head.lo) - _scaled.nA_enc(nu)[1]
-        hi = _scaled.nA_enc(n)[1] + scale(head.hi) - _scaled.nA_enc(nu)[0]
-        tilde = (lo + hi) / (2 * n * _scaled.ONE)
+        scale = lambda x: 6 * int(math.ldexp(x, _scaled.BITS))
+
+        def six_nA_enc(x):
+            # 6 x A(x) = (4x + 1) sqrt(x + 1), scaled by 2**BITS
+            s_lo, s_hi = _scaled.sqrt_enc(x + 1)
+            return (4 * x + 1) * s_lo, (4 * x + 1) * s_hi
+
+        lo = six_nA_enc(n)[0] + scale(head.lo) - six_nA_enc(nu)[1]
+        hi = six_nA_enc(n)[1] + scale(head.hi) - six_nA_enc(nu)[0]
+        tilde = (lo + hi) / (12 * n * _scaled.ONE)
         assert tilde == 2108.1852648724285
         mid = oracle_mean(n).midpoint()
         assert 4.05e-10 <= tilde - mid <= 4.22e-10

@@ -32,6 +32,21 @@ def test_sweep_legs_on_a_two_query_pool():
     assert {name: getattr(evaluator, name.split(".")[1], None) for name in names} == before
 
 
+def test_closed_form_legs_on_a_three_query_pool():
+    import rootmean
+
+    calls = legs.bench_module(ROOT, "worker")._calls(rootmean)
+    pool = [["enc", 1, 100, 2.0], ["enc", 10 ** 6, 10 ** 15, 2.0], ["enc", 1, 1000, 3.0]]
+    result = legs.time_legs(rootmean, calls, pool, legs.LEGS["closed_form"], 2)
+    assert result["queries"] == 3 and result["absent"] == []
+    times = result["legs"]
+    # both legs ran, and the whole-sum bracket runs inside the enclosure
+    assert sorted(times) == sorted(legs.LEGS["closed_form"])
+    assert all(ms > 0 for ms in times.values())
+    assert times["_scaled.partial_sum_enc"] <= times["asymptotic.partial_sum_sqrt_enclosure"]
+    assert times["asymptotic.partial_sum_sqrt_enclosure"] <= result["round_ms"]
+
+
 def test_cli_prints_one_json_line(capsys):
     assert legs.main(["--workload", "mean_loose", "--seed", "3", "--rounds", "1"]) == 0
     out = json.loads(capsys.readouterr().out)

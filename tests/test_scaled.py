@@ -9,7 +9,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rootmean import _scaled
@@ -36,12 +36,20 @@ def prefix():
     return exact_prefix(PREFIX_LIMIT)
 
 
+def main_term_enc(nu, n):
+    """Bracket of 24 (n A(n) - (2/3) sqrt(nu)(nu - 3/4)) * 2**BITS =
+    (4 (4n + 1) sqrt(n + 1) - 4 (4 nu - 3) sqrt(nu)) * 2**BITS."""
+    a_lo, a_hi = _scaled.sqrt_enc(n + 1)
+    h_lo, h_hi = _scaled.sqrt_enc(nu)
+    a, h = 4 * (4 * n + 1), 4 * (4 * nu - 3)
+    return a * a_lo - h * h_hi, a * a_hi - h * h_lo
+
+
 def prefix_delta_enc(prefix, nu, n):
     """The remainder bracket recovered from the exact prefix."""
-    a_lo, a_hi = _scaled.nA_enc(n)
-    h_lo, h_hi = _scaled.head_enc(nu)
+    m_lo, m_hi = main_term_enc(nu, n)
     s = prefix[n] - prefix[nu - 1]
-    return 24 * (a_lo - h_hi - s - (n - nu + 1)), 24 * (a_hi - h_lo - s)
+    return m_lo - 24 * (s + n - nu + 1), m_hi - 24 * s
 
 
 def mp_sum_sqrt(a: int, b: int) -> mp.mpf:
@@ -76,27 +84,6 @@ class TestRsqrtEnc:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             _scaled.rsqrt_enc(0)
-
-
-class TestMainTermBrackets:
-    @given(st.integers(min_value=1, max_value=10 ** 12))
-    def test_nA_bracket_by_squaring(self, n):
-        a_lo, a_hi = _scaled.nA_enc(n)
-        t = 4 * n + 1
-        # n A(n) = t sqrt(n+1) / 6; compare 6*endpoint against t sqrt(n+1) * 2**BITS
-        assert (6 * a_lo) ** 2 <= t * t * (n + 1) * SQ <= (6 * a_hi) ** 2
-
-    @given(st.integers(min_value=1, max_value=10 ** 12))
-    def test_head_bracket_by_squaring(self, nu):
-        h_lo, h_hi = _scaled.head_enc(nu)
-        t = 4 * nu - 3
-        assert (6 * h_lo) ** 2 <= t * t * nu * SQ <= (6 * h_hi) ** 2
-
-    def test_reject_nonpositive(self):
-        with pytest.raises(ValueError):
-            _scaled.nA_enc(0)
-        with pytest.raises(ValueError):
-            _scaled.head_enc(0)
 
 
 class TestSigmaEnc:
@@ -138,6 +125,20 @@ class TestDeltaEnc:
                 d_lo, d_hi = _scaled.delta_enc(nu, n)
                 p_lo, p_hi = prefix_delta_enc(prefix, nu, n)
                 assert max(d_lo, p_lo) <= min(d_hi, p_hi), (nu, n)
+
+    @given(st.integers(min_value=1, max_value=10 ** 60), st.integers(min_value=1, max_value=10 ** 60))
+    def test_nests_inside_the_sixths_bracket(self, nu, n):
+        # reading each main term as floor or ceil of (t sqrt_enc) / 6 first
+        # only widens the bracket: 24 floor(x/6) <= 4x <= 24 ceil(x/6)
+        assume(nu < n)
+        a_lo, a_hi = _scaled.sqrt_enc(n + 1)
+        h_lo, h_hi = _scaled.sqrt_enc(nu)
+        a, h = 4 * n + 1, 4 * nu - 3
+        s_lo, s_hi = _scaled.range_enc(nu, n)
+        lo = 24 * (a * a_lo // 6 + (-h * h_hi // 6) - s_hi)
+        hi = 24 * (-(-a * a_hi // 6) - (h * h_lo // 6) - s_lo)
+        d_lo, d_hi = _scaled.delta_enc(nu, n)
+        assert lo <= d_lo <= d_hi <= hi
 
     def test_containment_between_sigma_brackets(self):
         # the remainder must sit strictly inside its elementary bracket,
@@ -209,6 +210,14 @@ class TestPartialSumEnc:
             with mp.workdps(60):
                 truth = (mp.zeta(-0.5) - mp.zeta(-0.5, n + 1)) * ONE
                 assert mp.mpf(lo) <= truth <= mp.mpf(hi), n
+
+    def test_range_is_a_difference_of_wholes(self, prefix):
+        # S(n) - S(nu - 1) with S(0) = 0 meets the exact prefix bracket
+        assert _scaled.range_enc(1, 100) == _scaled.partial_sum_enc(100)
+        for nu, n in [(1, 5), (2, 63), (60, 70), (64, 65), (100, 400), (400, 400)]:
+            lo, hi = _scaled.range_enc(nu, n)
+            s = prefix[n] - prefix[nu - 1]
+            assert lo <= s + n - nu + 1 and s <= hi, (nu, n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ MEAN_LEGS = ("_scaled.partial_sum_enc", "evaluator._certify", "evaluator._shorte
 LEGS = {
     "mean_loose": MEAN_LEGS,
     "mean_tight": MEAN_LEGS,
-    "closed_form": (),
+    "closed_form": ("asymptotic.partial_sum_sqrt_enclosure", "_scaled.partial_sum_enc"),
     "sweep": ("evaluator._floor_blocks", "evaluator._oracle_pass", "evaluator._oracle_floors"),
 }
 
