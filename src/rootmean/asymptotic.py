@@ -12,23 +12,19 @@ integrating sqrt over [nu, n] and is pinned by elementary terms:
     sigma(nu, n) = 3/2 - n^(-1/2)            if nu == 1,
                    (nu-1)^(-1/2) - n^(-1/2)  otherwise.
 
-For r other than 1 and 2 the enclosure takes the paper's r-th-root
-generalization, which replaces the main term by
-
-    (r/(r+1)) (n+1)^(1/r) (n + (1-1/r)/2) - (r/(r+1)) nu^(1/r) (nu - (1+1/r)/2)
-
-with remainder delta_r/(12 r), delta_r bracketed by sigma_r of the same
-shape (2 - 1/r - n^(-1+1/r) for nu == 1, else (nu-1)^(-1+1/r) - n^(-1+1/r));
-r = 1 is exact (delta_1 = 0: the arithmetic series).
-
 delta_bounds returns the sigma bracket, and `rootmean verify --mode delta`
-checks it against the delta that _scaled.delta_enc recovers.  The
-square-root enclosure does not use it: it is S(n) - S(nu - 1), S being
-the Euler-Maclaurin bracket of the whole sum (_scaled.partial_sum_enc).
+checks it against the delta that _scaled.delta_enc recovers.  No
+enclosure reads it.  Every enclosure but the exact r = 1 series
+(arithmetic) rests on one theorem, Euler-Maclaurin with a signed remainder
+(stated in _scaled.partial_sum_enc): the square-root enclosure is
+S(n) - S(nu - 1), S being the bracket of the whole sum with six Bernoulli
+terms in 2**96-scaled integers, and for other r _em_root_enclosure keeps
+one Bernoulli term from nu to n, in binary64.
 
 Endpoints are binary64.  The square-root and r = 1 sums are bracketed
 exactly in integers and rounded outward once, at any n whose sum binary64
-holds; the other r are evaluated in binary64, widened by an error budget,
+holds; the other r are evaluated in binary64 from two exp/log powers
+(_pow_value, the one helper that trusts libm), widened by an error budget,
 and refuse integers that binary64 cannot represent exactly.
 """
 
@@ -58,18 +54,20 @@ _MAX_EXACT = 2 ** 53  # largest n the floating path accepts
 _FLOAT_MAX = int(sys.float_info.max)  # binary64's largest finite value, exactly
 
 
-def _check_float_range(n: int, name: str = "n") -> int:
+def _check_float_range(
+    n: int,
+    name: str = "n",
+    instead: str = "use the exact integer routines (floor_A_exact) instead",
+) -> int:
     """The floating path refuses n beyond 2**53 rather than silently losing
     integer precision: every integer up to 2**53 converts to binary64
     exactly.  This is the package's one 2**53 guard, reached by eval_A, the
     envelopes, the r-th-root enclosures for r other than 1 and 2 and the
     oracle (and by the CLI through them); the exact integer paths never call
-    it.  The message names the bound, not n, which may be too long to render."""
+    it.  The message names the bound, not n, which may be too long to render,
+    and ends with `instead`, the caller's way past it."""
     if n > _MAX_EXACT:
-        raise ValueError(
-            f"{name} exceeds 2**53; binary64 cannot carry it exactly: "
-            "use the exact integer routines (floor_A_exact) instead"
-        )
+        raise ValueError(f"{name} exceeds 2**53; binary64 cannot carry it exactly: {instead}")
     return n
 
 
@@ -293,11 +291,15 @@ def partial_sum_sqrt_enclosure(nu: int, n: int) -> Enclosure:
 
 
 def _pow_value(x: float, e: float) -> tuple[float, float]:
-    """x**e as exp(e log x), plus a relative error budget.
+    """x**e as exp(e log x), plus a relative error budget: the package's one
+    helper that trusts libm.
 
     log and exp are assumed faithful (<= 1 ulp each, true of every libm this
-    runs on); the budget is dominated by the log error scaled through exp,
-    hence grows with |e log x|.
+    runs on); the error is dominated by the log error scaled through exp,
+    hence grows with |u| = |e log x|, and stays under half the budget.  The
+    other half holds the rounding of e itself when e is a binary64 exponent
+    standing for a real one (1/r): that moves k**e, for every 1 <= k <= x,
+    by a factor within |u| 2**-53 of 1 (2**-1069 for a subnormal e).
     """
     if x == 1.0 or e == 0.0:
         return 1.0, 2.0 ** -52
@@ -305,41 +307,41 @@ def _pow_value(x: float, e: float) -> tuple[float, float]:
     return math.exp(u), (abs(u) + 3.0) * 2.0 ** -50
 
 
-def _sigma_root(nu: int, n: int, r: float) -> float:
-    """sigma_r(nu, n) = 2 - 1/r - n^(-1+1/r) for nu == 1, else
-    (nu-1)^(-1+1/r) - n^(-1+1/r)."""
-    e = 1.0 / r - 1.0
-    tail, _ = _pow_value(float(n), e)
-    if nu == 1:
-        return 2.0 - 1.0 / r - tail
-    head, _ = _pow_value(float(nu - 1), e)
-    return head - tail
-
-
-def _root_main_term(nu: int, n: int, r: float) -> tuple[float, float, float]:
-    """The r-th-root main term t1 - t2 with
-    t1 = (r/(r+1)) (n+1)^(1/r) (n + (1-1/r)/2) and
-    t2 = (r/(r+1)) nu^(1/r) (nu - (1+1/r)/2), returned as (t1, t2, rel):
-    the evaluation error of t1 - t2 is at most (|t1| + |t2|) rel.  At r=2,
-    t1 - t2 agrees with n A(n) - (2/3) sqrt(nu)(nu - 3/4) up to rounding."""
-    nf, nuf = float(n), float(nu)  # exact: the caller caps n at 2**53
-    c = r / (r + 1.0)
-    head_root, rel_head = _pow_value(nf + 1.0, 1.0 / r)
-    tail_root, rel_tail = _pow_value(nuf, 1.0 / r)
-    t1 = c * head_root * (nf + (1.0 - 1.0 / r) / 2.0)
-    t2 = c * tail_root * (nuf - (1.0 + 1.0 / r) / 2.0)
-    # root relative errors magnified by the term sizes, plus a flat
-    # allowance for the remaining ~20 operations of the enclosure
-    return t1, t2, rel_head + rel_tail + 40.0 * 2.0 ** -53
+def _em_root_enclosure(nu: int, n: int, r: float) -> Enclosure:
+    """Certified enclosure of sum_{k=nu}^{n} k^s, s = 1/r, for integers
+    1 <= nu < n <= 2**53 and a float r > 1, in binary64: the sum is
+    N(n) - N(nu) + nu^s + R, where N(x) = x^s (x/(s+1) + 1/2 + s/(12 x)) and
+    R lies in [0, w], w = s(1-s)(2-s)/720 nu^(s-3).  That is the
+    Euler-Maclaurin theorem stated in _scaled.partial_sum_enc, with one
+    Bernoulli term from nu to n.  Its hypothesis holds for every 0 < s < 1
+    as for s = 1/2: the 2k-th derivative s(s-1)...(s-2k+1) x^(s-2k) has
+    one positive factor and 2k-1 negative ones.  The evaluation is widened
+    outward by the exp/log budgets and the term sizes."""
+    _check_float_range(n, instead="only r = 1 and r = 2 take any n")
+    s = 1.0 / r
+    nf, nuf = float(n), float(nu)  # exact: n <= 2**53
+    top_root, rel_top = _pow_value(nf, s)
+    head_root, rel_head = _pow_value(nuf, s)
+    top = top_root * (nf / (s + 1.0) + 0.5 + s / (12.0 * nf))  # N(n)
+    head = head_root * (nuf / (s + 1.0) - 0.5 + s / (12.0 * nuf))  # N(nu) - nu^s >= 0
+    w = s * (1.0 - s) * (2.0 - s) / 720.0 * head_root / (nuf * nuf * nuf)
+    raw_lo = top - head
+    raw_hi = raw_lo + w
+    # each term's root budget (rel_top also holds the exponent's rounding,
+    # see _pow_value) and a flat allowance for the remaining ~20
+    # operations, magnified by the term's size, and 8 ulp for the final sums
+    flat = 40.0 * 2.0 ** -53
+    eta = top * (rel_top + flat) + (head + w) * (rel_head + flat) + 8.0 * math.ulp(raw_hi)
+    return Enclosure(raw_lo - eta, raw_hi + eta)
 
 
 def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclosure:
     """Certified enclosure of sum_{k=nu}^{n} k^(1/r) for 1 <= nu < n, r >= 1.
 
     r=1 is the exact arithmetic series (zero width).  r=2 returns the exact
-    same endpoints as partial_sum_sqrt_enclosure by construction.  Otherwise
-    n <= 2**53, and the r-th-root main term minus the sigma_r/(12 r) bracket,
-    widened outward including the exp/log evaluation budget.
+    same endpoints as partial_sum_sqrt_enclosure by construction.  Other r
+    take n <= 2**53 and the binary64 Euler-Maclaurin bracket of
+    _em_root_enclosure.
     """
     rv = (r if isinstance(r, RootOrder) else RootOrder(r)).r
     if rv == 2.0:
@@ -349,14 +351,7 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
         # exact integer series: no width limit, but binary64 endpoints
         exact = _series_sum(nu, n)
         return _outward(exact, exact)
-    _check_float_range(n)
-
-    t1, t2, rel = _root_main_term(nu, n, rv)
-    main = t1 - t2
-    raw_lo = main - _sigma_root(nu, n, rv) / (12.0 * rv)
-    raw_hi = main - _sigma_root(nu + 2, n + 2, rv) / (12.0 * rv)
-    eta = (abs(t1) + abs(t2)) * rel + 8.0 * math.ulp(max(abs(raw_lo), abs(raw_hi)))
-    return Enclosure(raw_lo - eta, raw_hi + eta)
+    return _em_root_enclosure(nu, n, rv)
 
 
 def lemma2_upper(x: float) -> float:

@@ -195,7 +195,9 @@ def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
     summation reader of the oracle."""
     if not len(marks):
         return [], []
-    top = _check_float_range(marks[-1])
+    top = _check_float_range(
+        marks[-1], instead="partial_sum_sqrt_enclosure and fast_mean take any n"
+    )
     import numpy as np
 
     marks = np.asarray(marks)

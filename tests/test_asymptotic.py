@@ -17,8 +17,9 @@ from rootmean.asymptotic import (
     DeltaBounds,
     Enclosure,
     RootOrder,
+    _em_root_enclosure,
     _outward,
-    _root_main_term,
+    _pow_value,
     delta_bounds,
     eval_A,
     lemma2_lower,
@@ -54,6 +55,31 @@ def paper_route_enclosure(nu: int, n: int) -> Enclosure:
     s_hi = _scaled.sigma_enc(nu, n)[1]
     s2_lo = _scaled.sigma_enc(nu + 2, n + 2)[0]
     return _outward(a * a_lo - h * h_hi - s_hi, a * a_hi - h * h_lo - s2_lo, 24 * _scaled.ONE)
+
+
+def sigma_route_enclosure(nu: int, n: int, r: float) -> Enclosure:
+    """The paper's r-th-root enclosure, a reference for the Euler-Maclaurin
+    one: the main term (r/(r+1)) (n+1)^(1/r) (n + (1-1/r)/2) - (r/(r+1))
+    nu^(1/r) (nu - (1+1/r)/2) minus delta_r/(12 r), delta_r between
+    sigma_r(nu+2, n+2) and sigma_r(nu, n), sigma_r(1, n) = 2 - 1/r -
+    n^(-1+1/r) and sigma_r(nu, n) = (nu-1)^(-1+1/r) - n^(-1+1/r), in
+    binary64 with the same exp/log budgets."""
+
+    def sigma(a: int, b: int) -> float:
+        e = 1.0 / r - 1.0
+        tail = _pow_value(float(b), e)[0]
+        return 2.0 - 1.0 / r - tail if a == 1 else _pow_value(float(a - 1), e)[0] - tail
+
+    c = r / (r + 1.0)
+    head_root, rel_head = _pow_value(n + 1.0, 1.0 / r)
+    tail_root, rel_tail = _pow_value(float(nu), 1.0 / r)
+    t1 = c * head_root * (n + (1.0 - 1.0 / r) / 2.0)
+    t2 = c * tail_root * (nu - (1.0 + 1.0 / r) / 2.0)
+    raw_lo = t1 - t2 - sigma(nu, n) / (12.0 * r)
+    raw_hi = t1 - t2 - sigma(nu + 2, n + 2) / (12.0 * r)
+    rel = rel_head + rel_tail + 40.0 * 2.0 ** -53
+    eta = (abs(t1) + abs(t2)) * rel + 8.0 * math.ulp(max(abs(raw_lo), abs(raw_hi)))
+    return Enclosure(raw_lo - eta, raw_hi + eta)
 
 
 class TestEvalA:
@@ -486,15 +512,30 @@ class TestPartialSumRoot:
         b = partial_sum_sqrt_enclosure(nu, n)
         assert (a.lo, a.hi) == (b.lo, b.hi)
 
-    def test_r2_main_term_consistency(self):
-        # the generic main term at r=2 must reproduce the square-root main
-        # term n A(n) - (2/3) sqrt(nu)(nu - 3/4) to rounding accuracy
-        for nu, n in [(1, 10), (5, 50), (3, 1000), (100, 10 ** 7)]:
-            t1, t2, _ = _root_main_term(nu, n, 2.0)
-            generic = t1 - t2
-            nf = float(n)
-            direct = nf * eval_A(nf) - (2.0 / 3.0) * math.sqrt(float(nu)) * (nu - 0.75)
-            assert math.isclose(generic, direct, rel_tol=1e-13)
+    @pytest.mark.parametrize(
+        "nu,n", [(1, 10), (5, 50), (3, 1000), (100, 10 ** 7), (2 ** 53 - 5, 2 ** 53)]
+    )
+    def test_float_route_contains_the_sqrt_bracket_at_r2(self, nu, n):
+        # the public function never sends r = 2 to the binary64 route: its
+        # one-term bracket must hold the exact six-term integer bracket
+        e, ref = _em_root_enclosure(nu, n, 2.0), partial_sum_sqrt_enclosure(nu, n)
+        assert e.lo <= ref.lo and ref.hi <= e.hi
+
+    def test_no_wider_than_the_sigma_route(self):
+        # on a seeded grid up to 2**53 the Euler-Maclaurin enclosure is
+        # never wider than the paper's sigma_r route, and the two meet
+        rng = random.Random(27)
+        for r in (1.01, 1.5, 2.5, 3.0, 4.0, 7.3, 10.0):
+            for _ in range(300):
+                n = min(2 ** 53, rng.randrange(2, 2 ** rng.randrange(2, 54) + 1))
+                nu = min(n - 1, rng.choice([1, 2, n - 1, rng.randrange(1, n)]))
+                e, ref = partial_sum_root_enclosure(nu, n, r), sigma_route_enclosure(nu, n, r)
+                assert e.width() <= ref.width(), (nu, n, r)
+                assert max(e.lo, ref.lo) <= min(e.hi, ref.hi), (nu, n, r)
+
+    def test_half_width_at_cube_roots_to_1000(self):
+        # one Bernoulli term leaves w = (1/3)(2/3)(5/3)/720 = 5.1e-4 at nu = 1
+        assert partial_sum_root_enclosure(1, 1000, 3).half_width() <= 3e-4
 
     @pytest.mark.parametrize(
         "nu,n,r,truth",
@@ -503,6 +544,9 @@ class TestPartialSumRoot:
             (1, 1000, 1.5, "60049.85035865547728340826"),
             (5, 3000, 10.0, None),
             (2, 9, 4.0, None),
+            (1, 2, 1.0000001, None),
+            (1, 10, 1e300, None),
+            (1, 1000, 2.5, None),
         ],
     )
     def test_contains_mp_truth_fixed(self, nu, n, r, truth):

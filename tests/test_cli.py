@@ -216,11 +216,12 @@ class TestSum:
         assert code == 2 and "--from" in err
         code, _, err = run_cli(capsys, "sum", "--from", "1", "--to", "10", "--root", "0.5")
         assert code == 2
-        # the float path for r other than 1 and 2 refuses --to past 2**53
+        # the float path for r other than 1 and 2 refuses --to past 2**53,
+        # and names the roots that take it
         code, _, err = run_cli(
             capsys, "sum", "--from", "1", "--to", str(2 ** 53 + 2), "--root", "3"
         )
-        assert code == 2 and "floor" in err
+        assert code == 2 and "2**53" in err and "r = 1 and r = 2 take any n" in err
 
     def test_square_root_past_2_53(self, capsys):
         # exact integers rounded once: the square root takes --to past

@@ -40,11 +40,18 @@ def test_closed_form_legs_on_a_three_query_pool():
     result = legs.time_legs(rootmean, calls, pool, legs.LEGS["closed_form"], 2)
     assert result["queries"] == 3 and result["absent"] == []
     times = result["legs"]
-    # both legs ran, and the whole-sum bracket runs inside the enclosure
+    # every leg ran, and the whole-sum bracket runs inside the enclosure
     assert sorted(times) == sorted(legs.LEGS["closed_form"])
     assert all(ms > 0 for ms in times.values())
     assert times["_scaled.partial_sum_enc"] <= times["asymptotic.partial_sum_sqrt_enclosure"]
     assert times["asymptotic.partial_sum_sqrt_enclosure"] <= result["round_ms"]
+    # per round: two square-root enclosures, each S(n) - S(nu - 1), of which
+    # S(0) is not read, and two libm powers for the one r = 3 query
+    assert result["calls"] == {
+        "asymptotic.partial_sum_sqrt_enclosure": 2,
+        "_scaled.partial_sum_enc": 3,
+        "asymptotic._pow_value": 2,
+    }
 
 
 def test_cli_prints_one_json_line(capsys):
@@ -52,4 +59,6 @@ def test_cli_prints_one_json_line(capsys):
     out = json.loads(capsys.readouterr().out)
     assert (out["workload"], out["seed"], out["rounds"]) == ("mean_loose", 3, 1)
     assert sorted(out["legs"]) == sorted(legs.MEAN_LEGS) and out["absent"] == []
+    assert sorted(out["calls"]) == sorted(legs.MEAN_LEGS)
+    assert all(isinstance(n, int) and n >= 0 for n in out["calls"].values())
     assert out["round_ms"] > 0

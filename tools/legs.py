@@ -9,10 +9,14 @@ DIR/bench/workloads.py builds for the workload and seed.  The pool is
 answered as DIR/bench/worker.py answers it: one warm-up round, then
 `rounds` timed rounds in this process.  Each leg, a function named
 "module.attr" within rootmean (evaluator._oracle_pass), is wrapped for the
-timed rounds, so every call made through that module attribute is timed;
-a leg's time includes the legs it calls (_oracle_floors holds the oracle
-pass it runs).  One JSON line gives the median ms per round of the whole
-round and of each leg, and lists as absent the legs the checkout lacks.
+timed rounds, so every call made through that module attribute is timed
+and counted.  A leg's time includes the legs it calls (_oracle_floors
+holds the oracle pass it runs), wrappers and all: each call of an inner
+leg listed with it adds that wrapper's overhead to the outer leg, so the
+inner leg's calls per round size what the outer one over-reads.  One JSON
+line gives the median ms per round of the whole round and of each leg,
+each leg's median calls per round, and lists as absent the legs the
+checkout lacks.
 
 It measures no set-up, latency or memory and checks no answer: it splits
 a round into legs, and a gain is claimed from tools/bench_pairs.py.
@@ -34,7 +38,9 @@ MEAN_LEGS = ("_scaled.partial_sum_enc", "evaluator._certify", "evaluator._shorte
 LEGS = {
     "mean_loose": MEAN_LEGS,
     "mean_tight": MEAN_LEGS,
-    "closed_form": ("asymptotic.partial_sum_sqrt_enclosure", "_scaled.partial_sum_enc"),
+    "closed_form": (
+        "asymptotic.partial_sum_sqrt_enclosure", "_scaled.partial_sum_enc", "asymptotic._pow_value"
+    ),
     "sweep": ("evaluator._floor_blocks", "evaluator._oracle_pass", "evaluator._oracle_floors"),
 }
 
@@ -49,10 +55,11 @@ def bench_module(root: str, name: str):
     return module
 
 
-def _timed(fn, spent: dict, name: str):
+def _timed(fn, spent: dict, counts: dict, name: str):
     clock = time.perf_counter_ns
 
     def timed(*args, **kwargs):
+        counts[name] += 1
         t0 = clock()
         try:
             return fn(*args, **kwargs)
@@ -63,12 +70,13 @@ def _timed(fn, spent: dict, name: str):
 
 
 def time_legs(rootmean, calls: dict, pool: list, legs, rounds: int) -> dict:
-    """Median ms per round of the pool and of each leg over `rounds` timed
-    rounds, after one warm-up round; calls maps a query's kind to the
-    function that answers it.  Every wrapped attribute is restored."""
+    """Median ms and calls per round of the pool and of each leg over
+    `rounds` timed rounds, after one warm-up round; calls maps a query's
+    kind to the function that answers it.  Every wrapped attribute is
+    restored."""
     for q in pool:
         calls[q[0]](q)
-    spent = {}
+    spent, counts = {}, {}
     absent = []
     saved = []
     try:
@@ -80,17 +88,19 @@ def time_legs(rootmean, calls: dict, pool: list, legs, rounds: int) -> dict:
                 absent.append(name)
                 continue
             saved.append((module, attr, fn))
-            spent[name] = 0
-            setattr(module, attr, _timed(fn, spent, name))
-        totals, per_leg = [], {name: [] for name in spent}
+            spent[name] = counts[name] = 0
+            setattr(module, attr, _timed(fn, spent, counts, name))
+        totals, per_leg, per_calls = [], {name: [] for name in spent}, {name: [] for name in spent}
         for _ in range(rounds):
             spent.update(dict.fromkeys(spent, 0))
+            counts.update(dict.fromkeys(counts, 0))
             t0 = time.perf_counter_ns()
             for q in pool:
                 calls[q[0]](q)
             totals.append(time.perf_counter_ns() - t0)
             for name, ns in spent.items():
                 per_leg[name].append(ns)
+                per_calls[name].append(counts[name])
     finally:
         for module, attr, fn in saved:
             setattr(module, attr, fn)
@@ -99,6 +109,7 @@ def time_legs(rootmean, calls: dict, pool: list, legs, rounds: int) -> dict:
         "queries": len(pool),
         "round_ms": statistics.median(totals) / 1e6,
         "legs": {name: statistics.median(ns) / 1e6 for name, ns in per_leg.items()},
+        "calls": {name: statistics.median_low(n) for name, n in per_calls.items()},
         "absent": absent,
     }
 
