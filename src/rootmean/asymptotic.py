@@ -31,7 +31,6 @@ and refuse integers that binary64 cannot represent exactly.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
 from . import _scaled
@@ -62,30 +61,22 @@ def _check_float_range(
     """The floating path refuses n beyond 2**53 rather than silently losing
     integer precision: every integer up to 2**53 converts to binary64
     exactly.  This is the package's one 2**53 guard, reached by eval_A, the
-    envelopes, the r-th-root enclosures for r other than 1 and 2 and the
-    oracle (and by the CLI through them); the exact integer paths never call
-    it.  The message names the bound, not n, which may be too long to render,
-    and ends with `instead`, the caller's way past it."""
+    envelopes, the r-th-root enclosures for r other than 1 and 2, the oracle
+    and the sweep (and by the CLI through them); the exact integer paths
+    never call it.  The message names the bound, not n, which may be too
+    long to render, and ends with `instead`, the caller's way past it."""
     if n > _MAX_EXACT:
         raise ValueError(f"{name} exceeds 2**53; binary64 cannot carry it exactly: {instead}")
     return n
 
 
-def _real_arg(x: object, minimum: float, name: str) -> float:
-    """Accept a float, or an integer that converts to binary64 exactly.  An
-    integer meets the domain check before it converts, so one far below the
-    minimum is refused for its sign, not its size."""
-    if isinstance(x, bool):
-        raise TypeError(f"{name} must be a number, got bool")
+def _real_arg(x: object, minimum: int, name: str) -> float:
+    """Accept a float, or an exact integer (_as_index) that converts to
+    binary64 exactly.  An integer meets the domain check before it
+    converts, so one far below the minimum is refused for its sign, not
+    its size."""
     if not isinstance(x, float):
-        try:
-            x = operator.index(x)  # type: ignore[arg-type]
-        except TypeError:
-            raise TypeError(
-                f"{name} must be a float or exact integer, got {type(x).__name__}"
-            ) from None
-        if x >= minimum:
-            x = float(_check_float_range(x, name))
+        return float(_check_float_range(_as_index(x, minimum=minimum, name=name), name))
     if x < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     if not math.isfinite(x):
@@ -229,7 +220,7 @@ def eval_A(x: float) -> float:
     floor(A(n)) equals the integer part of the mean of the first n square
     roots; exactfloor computes that without any floating point.
     """
-    x = _real_arg(x, 1.0, "x")
+    x = _real_arg(x, 1, "x")
     return (2.0 / 3.0) * math.sqrt(x + 1.0) * (1.0 + 0.25 / x)
 
 
@@ -270,14 +261,12 @@ def _round_up(num: int, den: int) -> float:
     return q
 
 
-def _outward(lo: int, hi: int, den: int = 1) -> Enclosure:
+def _outward(lo: int, hi: int, den: int = 1, instead: str = "") -> Enclosure:
     """The binary64 enclosure of the rational interval [lo/den, hi/den], den
-    > 0: the package's one refusal of an end past binary64's finite range."""
+    > 0: the package's one refusal of an end past binary64's finite range,
+    whose message ends with `instead`, the caller's way past it, if any."""
     if max(hi, -lo) > _FLOAT_MAX * den:
-        raise ValueError(
-            "value exceeds binary64's largest finite value, about 1.8e308: "
-            "only the exact series (`rootmean sum --root 1`) prints its digits"
-        )
+        raise ValueError(f"value exceeds binary64's largest finite value, about 1.8e308{instead}")
     return Enclosure(-_round_up(-lo, den), _round_up(hi, den))
 
 
@@ -350,17 +339,18 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
     if rv == 1.0:
         # exact integer series: no width limit, but binary64 endpoints
         exact = _series_sum(nu, n)
-        return _outward(exact, exact)
+        advice = ": only the exact series (`rootmean sum --root 1`) prints its digits"
+        return _outward(exact, exact, instead=advice)
     return _em_root_enclosure(nu, n, rv)
 
 
 def lemma2_upper(x: float) -> float:
     """(2/3) sqrt(x+2): a strict upper envelope of A(x) for x >= 2."""
-    x = _real_arg(x, 2.0, "x")
+    x = _real_arg(x, 2, "x")
     return (2.0 / 3.0) * math.sqrt(x + 2.0)
 
 
 def lemma2_lower(x: float) -> float:
     """(2/3) sqrt(x + 5/4) + 1/(4x): a strict lower envelope of A(x) for x >= 6."""
-    x = _real_arg(x, 6.0, "x")
+    x = _real_arg(x, 6, "x")
     return (2.0 / 3.0) * math.sqrt(x + 1.25) + 0.25 / x

@@ -17,10 +17,10 @@ _oracle_pass, takes numpy's correctly rounded square roots chunk by chunk
 and sums them exactly between sorted, distinct marks by their bit
 patterns: within one binade a root's bits are a fixed offset plus its
 significand, so one uint64 reduction sums each run of at most 2**11 roots
-without a conversion (_exact_runs).  The runs are planned a window of
-chunks at a time (_oracle_window): one sorted array of cuts per window,
-and after its chunks one vectorised check, one exact prefix and one
-lookup of the marks, so no Python runs per chunk beyond the numpy calls.
+without a conversion (_exact_runs).  The pass plans its runs a window of
+chunks at a time: one sorted array of cuts per window, and after its
+chunks one vectorised check, one exact prefix and one lookup of the
+marks, so no Python runs per chunk beyond the numpy calls.
 Each rounded root is charged its own half spacing: no run crosses a
 binade, so all roots of a run share one.  That gives an integer bracket
 of 2**54 times the sum at each mark, whose midpoint is the exact sum of
@@ -137,67 +137,32 @@ def _exact_runs(
     return map(lshift, raw.tolist(), (exps - 1021).tolist()), exps
 
 
-def _oracle_window(a, n, ends, ramp, buf, total, charge, totals, charges):
-    """Sum the n roots of k = a .. a+n-1, chunk by chunk, and append to
-    totals and charges the bracket's midpoint and half-width at each mark
-    a + e - 1 for e in ends (int64, strictly increasing, within 1..n), given
-    total and charge at a - 1; returns them at a + n - 1.
-
-    The window is planned once: one sorted array of cuts holds every _RUN-th
-    term, each mark's end, the binade edges 4**e and the window's end, and
-    every chunk end is among them.  The chunk loop then takes the roots in
-    buf and sums each run of them that starts in the chunk with one uint64
-    reduceat of their bit patterns, and gathers each run's first and last
-    bit pattern.  _exact_runs checks and reads the runs, and two
-    accumulates give the exact prefix and the charge at every cut.  Each
-    root is charged its own half spacing, 2**(E - 1022) units for a root of
-    biased exponent E; the roots of a run share E, as _exact_runs checks.
-    a + ramp is exact since a + n - 1 <= 2**53."""
-    import numpy as np
-
-    bounds = [*range(0, n, _CHUNK), n]  # the chunks' starts and the window's end
-    edges = [k - a for k in _BINADE_EDGES if a < k < a + n]
-    cuts = np.concatenate((np.arange(0, n, _RUN), ends, [*edges, n]))
-    cuts.sort()
-    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-    counts = cuts[1:] - cuts[:-1]
-    starts = cuts[:-1] % _CHUNK  # each run's first root within its chunk
-    lasts = starts + counts - 1
-    raw, first, last = np.empty((3, len(counts)), dtype=np.uint64)
-    bits = buf.view(np.uint64)
-    split = np.searchsorted(cuts, bounds).tolist()  # the runs of each chunk
-    for c, i, j in zip(bounds, split, split[1:]):
-        m = min(_CHUNK, n - c)
-        np.sqrt(np.add(ramp[:m], a + c, out=buf[:m]), out=buf[:m])
-        np.add.reduceat(bits[:m], starts[i:j], out=raw[i:j])
-        first[i:j] = bits[starts[i:j]]
-        last[i:j] = bits[lasts[i:j]]
-    sums, exps = _exact_runs(raw, counts, first, last)
-    prefix = list(accumulate(sums, initial=total))
-    # at most _RUN 2**27 units per run: roots stay below 2**27 for k <= 2**53
-    spent = list(accumulate((counts << (exps - 1022)).tolist(), initial=charge))
-    at = np.searchsorted(cuts, ends).tolist()  # the runs before each mark's end
-    totals.extend(map(prefix.__getitem__, at))
-    charges.extend(map(spent.__getitem__, at))
-    return prefix[-1], spent[-1]
-
-
 def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
     """(totals, charges), aligned with marks: at each mark m,
     total - charge <= 2**54 sum_{k=nu}^{m} sqrt(k) <= total + charge, in
-    one pass over fixed chunks of _CHUNK terms, planned _WINDOW chunks at
-    a time (_oracle_window).  The midpoint total is the exact sum of the
-    correctly rounded roots and the half-width charge half the sum of their
-    spacings, np.spacing(fl(sqrt(k))) for k = nu .. m, whatever the chunks
-    and windows.  The marks must be exact integers that strictly increase
-    from nu >= 1; anything else is refused, never misread.  The chunk's
-    arrays are made once and reused, so the pass stays in cache.  The one
-    summation reader of the oracle."""
+    one pass over fixed chunks of _CHUNK terms.  The midpoint total is the
+    exact sum of the correctly rounded roots and the half-width charge half
+    the sum of their spacings, np.spacing(fl(sqrt(k))) for k = nu .. m,
+    whatever the chunks and windows.  The marks must be exact integers that
+    strictly increase from nu >= 1; anything else is refused, never
+    misread.  The one summation reader of the oracle.
+
+    The pass is planned a window of _WINDOW chunks at a time: one sorted
+    array of cuts holds every _RUN-th term, the window's marks, the binade
+    edges 4**e and the window's end, and every chunk end is among them.
+    The chunk loop then takes the roots in buf and sums each run of them
+    that starts in the chunk with one uint64 reduceat of their bit
+    patterns, and gathers each run's first and last bit pattern.
+    _exact_runs checks and reads the window's runs, and two accumulates
+    give the exact prefix and the charge at every cut.  Each root is
+    charged its own half spacing, 2**(E - 1022) units for a root of biased
+    exponent E; the roots of a run share E, as _exact_runs checks.  The
+    chunk's ramp and roots are made once and reused, so the pass stays in
+    cache, and a window's run arrays are freed before the next window is
+    planned.  a + ramp is exact since every k <= 2**53."""
     if not len(marks):
         return [], []
-    top = _check_float_range(
-        marks[-1], instead="partial_sum_sqrt_enclosure and fast_mean take any n"
-    )
+    top = _check_float_range(marks[-1], instead="`rootmean mean` takes any n below 2**2046")
     import numpy as np
 
     marks = np.asarray(marks)
@@ -214,14 +179,38 @@ def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
     # 512 KiB block on its heap between passes, where two 256 KiB ones were
     # mapped afresh and faulted in on every pass
     ramp, buf = np.arange(2 * size, dtype=np.float64).reshape(2, size)
+    bits = buf.view(np.uint64)
     span = _WINDOW * _CHUNK
-    starts = range(nu, top + 1, span)
-    split = np.searchsorted(marks, [a + span for a in starts]).tolist()
-    for a, i, j in zip(starts, [0, *split], split):
-        n = min(span, top + 1 - a)
-        total, charge = _oracle_window(
-            a, n, marks[i:j] - (a - 1), ramp, buf, total, charge, totals, charges
-        )
+    windows = range(nu, top + 1, span)
+    marks_before = np.searchsorted(marks, [a + span for a in windows]).tolist()
+    for a, i, j in zip(windows, [0, *marks_before], marks_before):
+        n = min(span, top + 1 - a)  # the window holds k = a .. a+n-1
+        ends = marks[i:j] - (a - 1)
+        bounds = [*range(0, n, _CHUNK), n]  # the chunks' starts and the window's end
+        edges = [k - a for k in _BINADE_EDGES if a < k < a + n]
+        cuts = np.concatenate((np.arange(0, n, _RUN), ends, [*edges, n]))
+        cuts.sort()
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+        counts = cuts[1:] - cuts[:-1]
+        starts = cuts[:-1] % _CHUNK  # each run's first root within its chunk
+        lasts = starts + counts - 1
+        raw, first, last = np.empty((3, len(counts)), dtype=np.uint64)
+        split = np.searchsorted(cuts, bounds).tolist()  # the runs of each chunk
+        for c, r, t in zip(bounds, split, split[1:]):
+            m = min(_CHUNK, n - c)
+            np.sqrt(np.add(ramp[:m], a + c, out=buf[:m]), out=buf[:m])
+            np.add.reduceat(bits[:m], starts[r:t], out=raw[r:t])
+            first[r:t] = bits[starts[r:t]]
+            last[r:t] = bits[lasts[r:t]]
+        sums, exps = _exact_runs(raw, counts, first, last)
+        prefix = list(accumulate(sums, initial=total))
+        # at most _RUN 2**27 units per run: roots stay below 2**27 for k <= 2**53
+        spent = list(accumulate((counts << (exps - 1022)).tolist(), initial=charge))
+        at = np.searchsorted(cuts, ends).tolist()  # the runs before each mark's end
+        totals.extend(map(prefix.__getitem__, at))
+        charges.extend(map(spent.__getitem__, at))
+        total, charge = prefix[-1], spent[-1]
+        del ends, cuts, counts, starts, lasts, raw, first, last, sums, exps, prefix, spent
     return totals, charges
 
 
@@ -493,7 +482,10 @@ def sweep_theorem1(
     signal degenerate bounds and fail loudly (more than 64 of them raise).
     """
     max_n = _as_index(max_n, name="max_n")
-    _check_float_range(max_n, "max_n")
+    _check_float_range(
+        max_n, "max_n",
+        "direct summation stops at 2**53, and `rootmean floor` gives floor(Sigma(n)) for any n",
+    )
     _check_cap(max_n, cap)
 
     starts, ends = _floor_blocks(max_n)

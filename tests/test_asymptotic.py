@@ -5,9 +5,11 @@ import copy
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,18 @@ def sigma_route_enclosure(nu: int, n: int, r: float) -> Enclosure:
     return Enclosure(raw_lo - eta, raw_hi + eta)
 
 
+def check_argument_policy(fn):
+    """The argument policy of eval_A and the Lemma-2 envelopes: a float, or
+    an exact integer up to 2**53, which converts to binary64 exactly."""
+    for bad in (Fraction(5, 2), Decimal("3"), np.float32(3)):
+        with pytest.raises(TypeError):
+            fn(bad)
+    assert fn(np.int64(7)) == fn(7.0)
+    assert fn(2 ** 53) == fn(float(2 ** 53))
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        fn(2 ** 53 + 1)
+
+
 class TestEvalA:
     @pytest.mark.parametrize(
         "x,expected",
@@ -109,6 +123,9 @@ class TestEvalA:
 
     def test_accepts_exact_ints(self):
         assert eval_A(2) == eval_A(2.0)
+
+    def test_argument_policy(self):
+        check_argument_policy(eval_A)
 
     @pytest.mark.parametrize("bad", [0.5, 0, -3.0, math.inf, math.nan])
     def test_rejects_out_of_domain(self, bad):
@@ -462,10 +479,13 @@ class TestPartialSumSqrt:
         # the sum passes binary64's largest finite value near n = 4.2e205
         assert math.isfinite(partial_sum_sqrt_enclosure(1, 4 * 10 ** 205).hi)
         for n in (10 ** 210, 10 ** 5000):
-            with pytest.raises(ValueError, match="largest finite"):
+            with pytest.raises(ValueError, match="largest finite") as refused:
                 partial_sum_sqrt_enclosure(1, n)
-            with pytest.raises(ValueError, match="largest finite"):
+            # the exact-series advice belongs to r = 1 alone
+            assert "--root 1" not in str(refused.value)
+            with pytest.raises(ValueError, match="largest finite") as refused:
                 partial_sum_root_enclosure(1, n, 2)
+            assert "--root 1" not in str(refused.value)
         # delta stays below 3/2 at any n: delta_bounds has no such limit
         assert delta_bounds(1, 10 ** 5000).upper <= 1.5
 
@@ -568,6 +588,23 @@ class TestPartialSumRoot:
             truth = mp_root_sum(nu, n, r)
             assert mp.mpf(e.lo) <= truth <= mp.mpf(e.hi)
 
+    @pytest.mark.parametrize("r", [3.0, 2.5, 7.3])
+    def test_contains_a_direct_sum_at_large_n(self, r):
+        # seeded ranges of fewer than 1500 terms ending anywhere up to
+        # 2**53, each summed term by term at 40 digits: a reference that
+        # shares nothing with the Euler-Maclaurin bracket
+        rng = random.Random(f"large-n {r}")
+        cases = [(2 ** 53 - 1, 2 ** 53), (2 ** 53 - 1499, 2 ** 53)]
+        while len(cases) < 16:
+            n = rng.randrange(2, 2 ** rng.randrange(12, 54) + 1)
+            cases.append((max(1, n - rng.randrange(1, 1500)), n))
+        with mp.workdps(40):
+            e_r = 1 / mp.mpf(r)
+            for nu, n in cases:
+                enc = partial_sum_root_enclosure(nu, n, r)
+                truth = mp.fsum(mp.mpf(k) ** e_r for k in range(nu, n + 1))
+                assert mp.mpf(enc.lo) <= truth <= mp.mpf(enc.hi), (nu, n)
+
     def test_accepts_rootorder_instances(self):
         a = partial_sum_root_enclosure(1, 50, RootOrder(3.0))
         b = partial_sum_root_enclosure(1, 50, 3.0)
@@ -611,3 +648,7 @@ class TestLemma2:
             lemma2_upper(1.999)
         with pytest.raises(ValueError):
             lemma2_lower(5.999)
+
+    @pytest.mark.parametrize("fn", [lemma2_upper, lemma2_lower], ids=["upper", "lower"])
+    def test_argument_policy(self, fn):
+        check_argument_policy(fn)

@@ -230,6 +230,8 @@ class TestSum:
         assert code == 0 and parse_text_record(out)["method"] == "enclosure"
         code, out, err = run_cli(capsys, "sum", "--from", "1", "--to", str(10 ** 210))
         assert code == 2 and out == "" and "largest finite" in err
+        # the exact-series advice belongs to r = 1 alone
+        assert "--root 1" not in err
 
 
 class TestVerify:
@@ -507,11 +509,19 @@ class TestHugeInputs:
         code, out, err = run_cli(capsys, "bench", self.HUGE)
         assert code == 2 and out == ""
         assert "2**53" in err and "4300" not in err
+        # the refusal names the command that takes any n, not a function
+        assert "`rootmean mean` takes any n below 2**2046" in err
+        assert "partial_sum_sqrt_enclosure" not in err and "fast_mean" not in err
 
     def test_verify_theorem1(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--mode", "theorem1", "--max-n", self.HUGE)
         assert code == 2 and out == ""
         assert "2**53" in err and "4300" not in err
+        # direct summation stops at 2**53; floor_A_exact verifies nothing,
+        # and `rootmean floor` answers any n
+        assert "direct summation stops at 2**53" in err
+        assert "`rootmean floor` gives floor(Sigma(n)) for any n" in err
+        assert "floor_A_exact" not in err
 
     def test_sum_reversed_range(self, capsys):
         code, out, err = run_cli(capsys, "sum", "--from", self.HUGE, "--to", "5")

@@ -8,14 +8,14 @@ rootmean is imported from DIR/src only, and the query pool is the one
 DIR/bench/workloads.py builds for the workload and seed.  The pool is
 answered as DIR/bench/worker.py answers it: one warm-up round, then
 `rounds` timed rounds in this process.  Each leg, a function named
-"module.attr" within rootmean (evaluator._oracle_pass), is wrapped for the
-timed rounds, so every call made through that module attribute is timed
-and counted.  A leg's time includes the legs it calls (_oracle_floors
-holds the oracle pass it runs), wrappers and all: each call of an inner
-leg listed with it adds that wrapper's overhead to the outer leg, so the
-inner leg's calls per round size what the outer one over-reads.  One JSON
-line gives the median ms per round of the whole round and of each leg,
-each leg's median calls per round, and lists as absent the legs the
+"module.attr" within rootmean (evaluator._oracle_pass), is timed in rounds
+of its own, in which its wrapper is the only one installed, so every call
+made through that module attribute is timed and counted and no other
+leg's wrapper adds to it.  A leg's time includes the legs it calls
+(_oracle_floors holds the oracle pass it runs).  Each timed round of the
+whole pool runs with no wrapper and is followed by one round per leg.  One
+JSON line gives the median ms per round of the whole round and of each
+leg, each leg's median calls per round, and lists as absent the legs the
 checkout lacks.
 
 It measures no set-up, latency or memory and checks no answer: it splits
@@ -55,61 +55,62 @@ def bench_module(root: str, name: str):
     return module
 
 
-def _timed(fn, spent: dict, counts: dict, name: str):
+def _timed(fn, tally: list):
+    """fn, adding each call's ns to tally[0] and counting it in tally[1]."""
     clock = time.perf_counter_ns
 
     def timed(*args, **kwargs):
-        counts[name] += 1
+        tally[1] += 1
         t0 = clock()
         try:
             return fn(*args, **kwargs)
         finally:
-            spent[name] += clock() - t0
+            tally[0] += clock() - t0
 
     return timed
 
 
 def time_legs(rootmean, calls: dict, pool: list, legs, rounds: int) -> dict:
-    """Median ms and calls per round of the pool and of each leg over
-    `rounds` timed rounds, after one warm-up round; calls maps a query's
-    kind to the function that answers it.  Every wrapped attribute is
-    restored."""
-    for q in pool:
-        calls[q[0]](q)
-    spent, counts = {}, {}
-    absent = []
-    saved = []
-    try:
-        for name in legs:
-            module_name, _, attr = name.rpartition(".")
-            module = importlib.import_module(f"{rootmean.__name__}.{module_name}")
-            fn = getattr(module, attr, None)
-            if fn is None:
-                absent.append(name)
-                continue
-            saved.append((module, attr, fn))
-            spent[name] = counts[name] = 0
-            setattr(module, attr, _timed(fn, spent, counts, name))
-        totals, per_leg, per_calls = [], {name: [] for name in spent}, {name: [] for name in spent}
-        for _ in range(rounds):
-            spent.update(dict.fromkeys(spent, 0))
-            counts.update(dict.fromkeys(counts, 0))
-            t0 = time.perf_counter_ns()
-            for q in pool:
-                calls[q[0]](q)
-            totals.append(time.perf_counter_ns() - t0)
-            for name, ns in spent.items():
-                per_leg[name].append(ns)
-                per_calls[name].append(counts[name])
-    finally:
-        for module, attr, fn in saved:
-            setattr(module, attr, fn)
+    """Median ms per round of the pool with no leg wrapped, and median ms
+    and calls per round of each leg over rounds in which its wrapper is the
+    only one installed: `rounds` of each, interleaved, after one warm-up
+    round; calls maps a query's kind to the function that answers it.
+    Every wrapped attribute is restored."""
+
+    def round_ns() -> int:
+        t0 = time.perf_counter_ns()
+        for q in pool:
+            calls[q[0]](q)
+        return time.perf_counter_ns() - t0
+
+    round_ns()
+    found, absent = [], []
+    for name in legs:
+        module_name, _, attr = name.rpartition(".")
+        module = importlib.import_module(f"{rootmean.__name__}.{module_name}")
+        fn = getattr(module, attr, None)
+        if fn is None:
+            absent.append(name)
+        else:
+            found.append((name, module, attr, fn))
+    totals = []
+    tallies: dict = {name: [] for name, *_ in found}
+    for _ in range(rounds):
+        totals.append(round_ns())
+        for name, module, attr, fn in found:
+            tally = [0, 0]
+            setattr(module, attr, _timed(fn, tally))
+            try:
+                round_ns()
+            finally:
+                setattr(module, attr, fn)
+            tallies[name].append(tally)
     return {
         "rounds": rounds,
         "queries": len(pool),
         "round_ms": statistics.median(totals) / 1e6,
-        "legs": {name: statistics.median(ns) / 1e6 for name, ns in per_leg.items()},
-        "calls": {name: statistics.median_low(n) for name, n in per_calls.items()},
+        "legs": {name: statistics.median(ns for ns, _ in t) / 1e6 for name, t in tallies.items()},
+        "calls": {name: statistics.median_low(n for _, n in t) for name, t in tallies.items()},
         "absent": absent,
     }
 
