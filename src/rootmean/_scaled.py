@@ -37,9 +37,8 @@ _SQ_SHIFT = 2 * BITS
 
 
 def sqrt_enc(k: int) -> tuple[int, int]:
-    """Bracket of sqrt(k) * 2**BITS for integer k >= 0."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    """Bracket of sqrt(k) * 2**BITS for integer k >= 0 (math.isqrt refuses
+    k < 0)."""
     v = math.isqrt(k << _SQ_SHIFT)
     return v, v + 1
 
@@ -62,8 +61,6 @@ def range_enc(nu: int, n: int) -> tuple[int, int]:
     caller checks the range): S(n) - S(nu - 1), with S = partial_sum_enc and
     S(0) = 0, so O(1) integer operations at any n."""
     t_lo, t_hi = partial_sum_enc(n)
-    if nu == 1:
-        return t_lo, t_hi
     b_lo, b_hi = partial_sum_enc(nu - 1)
     return t_lo - b_hi, t_hi - b_lo
 
@@ -168,9 +165,10 @@ ZETA_ENC = _zeta_enc()
 
 
 def partial_sum_enc(n: int) -> tuple[int, int]:
-    """Bracket of sum_{k=1}^{n} sqrt(k) * 2**BITS for any integer n >= 1.
+    """Bracket of sum_{k=1}^{n} sqrt(k) * 2**BITS for any integer n >= 0.
 
-    n < a = HEAD_END: the exact head table, one unit of width per term.
+    n < a = HEAD_END: the exact head table, one unit of width per term (the
+    empty sum S(0) = 0 has none).
     n >= a: ZETA_ENC + the bracket of N(n), with the n-side terms N as in
     _closure_enc.
 
@@ -200,8 +198,8 @@ def partial_sum_enc(n: int) -> tuple[int, int]:
     a = 64, p = 6 the closure adds w ~ 1.4e-26 and the roundings of N(n)
     (about (2/3) n units of 2**-96) to the 63 units of the head.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n < HEAD_END:
         s = _HEAD[n]
         return s, s + n

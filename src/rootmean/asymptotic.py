@@ -53,48 +53,45 @@ _MAX_EXACT = 2 ** 53  # largest n the floating path accepts
 _FLOAT_MAX = int(sys.float_info.max)  # binary64's largest finite value, exactly
 
 
-def _check_float_range(
-    n: int,
-    name: str = "n",
-    instead: str = "use the exact integer routines (floor_A_exact) instead",
-) -> int:
+def _check_float_range(n: int, name: str, instead: str) -> int:
     """The floating path refuses n beyond 2**53 rather than silently losing
     integer precision: every integer up to 2**53 converts to binary64
     exactly.  This is the package's one 2**53 guard, reached by eval_A, the
-    envelopes, the r-th-root enclosures for r other than 1 and 2, the oracle
-    and the sweep (and by the CLI through them); the exact integer paths
-    never call it.  The message names the bound, not n, which may be too
-    long to render, and ends with `instead`, the caller's way past it."""
+    envelopes, RootOrder's r, fast_mean's epsilon, the r-th-root enclosures
+    for r other than 1 and 2, the oracle and the sweep (and by the CLI
+    through them); the exact integer paths never call it.  The message
+    names the bound, not n, which may be too long to render, and ends with
+    `instead`, the caller's way past it."""
     if n > _MAX_EXACT:
         raise ValueError(f"{name} exceeds 2**53; binary64 cannot carry it exactly: {instead}")
     return n
 
 
-def _real_arg(x: object, minimum: int, name: str) -> float:
-    """Accept a float, or an exact integer (_as_index) that converts to
-    binary64 exactly.  An integer meets the domain check before it
-    converts, so one far below the minimum is refused for its sign, not
-    its size."""
-    if not isinstance(x, float):
-        return float(_check_float_range(_as_index(x, minimum=minimum, name=name), name))
-    if x < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def _real_number(x: object, name: str) -> float:
-    """float(x) for a real number x.  TypeError for str, bytes and bytearray
-    (float() would parse them), bool (read as 0 or 1) and non-numbers."""
-    if type(x) is float:  # the common case
-        return x
-    if not isinstance(x, (str, bytes, bytearray, bool)):
-        try:
-            return float(x)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            pass
-    raise TypeError(f"{name} must be a real number, got {x!r}")
+def _real_number(
+    x: object,
+    minimum: int,
+    name: str,
+    instead: str = "use the exact integer routines (floor_A_exact) instead",
+) -> float:
+    """x >= minimum as a finite binary64: the package's one real-number
+    check.  A float is checked for its domain and finiteness.  Any other
+    value must be an exact integer (_as_index), checked for its domain
+    first, so one far below the minimum is refused for its sign, not its
+    size; it must then convert to binary64 exactly (_check_float_range,
+    whose message ends with `instead`).  Nothing else is converted:
+    float() would parse text, read a bool as 0 or 1, and round a Fraction
+    or Decimal, so those raise TypeError."""
+    if isinstance(x, float):
+        if x < minimum:
+            raise ValueError(f"{name} must be >= {minimum}")
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+        return x if type(x) is float else float(x)  # numpy.float64 becomes a float
+    try:
+        n = _as_index(x, minimum=minimum, name=name)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {type(x).__name__}") from None
+    return float(_check_float_range(n, name, instead))
 
 
 class _Record:
@@ -200,18 +197,15 @@ class DeltaBounds(_Record):
 
 class RootOrder(_Record):
     """Root index r >= 1: terms are k^(1/r).  r=2 is the square root, r=1 the
-    exact arithmetic series; non-integer r >= 1 is accepted, and bool, str,
-    bytes and bytearray are refused."""
+    exact arithmetic series.  r is a finite float, or an exact integer up
+    to 2**53 (_real_number); anything else is refused."""
 
     __slots__ = _fields = ("r",)
     r: float
 
     def __init__(self, r: float) -> None:
-        value = _real_number(r, "r")
-        if not math.isfinite(value) or value < 1.0:
-            raise ValueError(f"r must be a finite real >= 1, got {r!r}")
         (set_r,) = self._setters
-        set_r(self, value)
+        set_r(self, _real_number(r, 1, "r", "pass r as a float"))
 
 
 def eval_A(x: float) -> float:
@@ -220,7 +214,7 @@ def eval_A(x: float) -> float:
     floor(A(n)) equals the integer part of the mean of the first n square
     roots; exactfloor computes that without any floating point.
     """
-    x = _real_arg(x, 1, "x")
+    x = _real_number(x, 1, "x")
     return (2.0 / 3.0) * math.sqrt(x + 1.0) * (1.0 + 0.25 / x)
 
 
@@ -306,7 +300,7 @@ def _em_root_enclosure(nu: int, n: int, r: float) -> Enclosure:
     as for s = 1/2: the 2k-th derivative s(s-1)...(s-2k+1) x^(s-2k) has
     one positive factor and 2k-1 negative ones.  The evaluation is widened
     outward by the exp/log budgets and the term sizes."""
-    _check_float_range(n, instead="only r = 1 and r = 2 take any n")
+    _check_float_range(n, "n", "only r = 1 and r = 2 take any n")
     s = 1.0 / r
     nf, nuf = float(n), float(nu)  # exact: n <= 2**53
     top_root, rel_top = _pow_value(nf, s)
@@ -332,7 +326,7 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
     take n <= 2**53 and the binary64 Euler-Maclaurin bracket of
     _em_root_enclosure.
     """
-    rv = (r if isinstance(r, RootOrder) else RootOrder(r)).r
+    rv = r.r if isinstance(r, RootOrder) else _real_number(r, 1, "r", "pass r as a float")
     if rv == 2.0:
         return partial_sum_sqrt_enclosure(nu, n)
     nu, n = _index_range(nu, n)
@@ -346,11 +340,11 @@ def partial_sum_root_enclosure(nu: int, n: int, r: "RootOrder | float") -> Enclo
 
 def lemma2_upper(x: float) -> float:
     """(2/3) sqrt(x+2): a strict upper envelope of A(x) for x >= 2."""
-    x = _real_arg(x, 2, "x")
+    x = _real_number(x, 2, "x")
     return (2.0 / 3.0) * math.sqrt(x + 2.0)
 
 
 def lemma2_lower(x: float) -> float:
     """(2/3) sqrt(x + 5/4) + 1/(4x): a strict lower envelope of A(x) for x >= 6."""
-    x = _real_arg(x, 6, "x")
+    x = _real_number(x, 6, "x")
     return (2.0 / 3.0) * math.sqrt(x + 1.25) + 0.25 / x

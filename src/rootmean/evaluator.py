@@ -41,7 +41,6 @@ otherwise).
 from __future__ import annotations
 
 import decimal
-import math
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, lshift, ne, or_, rshift, sub
 from typing import TYPE_CHECKING, NamedTuple
@@ -86,13 +85,6 @@ _RUN = 1 << 11  # a window cuts a run every _RUN roots: their 2**52 + f sum belo
 _BINADE_EDGES = tuple(4 ** e for e in range(1, 27))
 _DEFAULT_CAP = 100_000_000  # the most terms one oracle pass touches by default
 _ORACLE_ONE = 1 << 54  # oracle unit 2**-54: half a spacing of a root >= 1 is whole
-
-
-def _check_eps(epsilon: float) -> float:
-    epsilon = _real_number(epsilon, "epsilon")
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError(f"epsilon must be a finite positive real, got {epsilon!r}")
-    return epsilon
 
 
 def _check_cap(count: int, cap: int) -> None:
@@ -162,7 +154,7 @@ def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
     planned.  a + ramp is exact since every k <= 2**53."""
     if not len(marks):
         return [], []
-    top = _check_float_range(marks[-1], instead="`rootmean mean` takes any n below 2**2046")
+    top = _check_float_range(marks[-1], "n", "`rootmean mean` takes any n below 2**2046")
     import numpy as np
 
     marks = np.asarray(marks)
@@ -366,8 +358,9 @@ def fast_mean(n: int, epsilon: float) -> CertifiedMean:
     One exact path for every 1 <= n < 2**2046: _scaled.partial_sum_enc
     brackets sum_{k=1}^{n} sqrt(k) in 2**96-scaled integers (the exact head
     below n = 64, a fixed 63-term head plus an Euler-Maclaurin closure from
-    64 on), and _certify reads the bracket over n 2**96 out once.  A
-    certificate that misses epsilon raises with the achieved bound.
+    64 on), and _certify reads the bracket over n 2**96 out once.  epsilon
+    > 0 is a float or an exact integer up to 2**53 (_real_number); a
+    certificate that misses it raises with the achieved bound.
 
     The limit keeps value finite and is checked before any work.  Sigma(n)
     < A(n) = (2/3) sqrt(n+1) (1 + 1/(4n)) by the mean identity Sigma(n) =
@@ -378,7 +371,9 @@ def fast_mean(n: int, epsilon: float) -> CertifiedMean:
     far below the binary64 overflow threshold 2**1024.
     """
     n = _as_index(n)
-    epsilon = _check_eps(epsilon)
+    epsilon = _real_number(epsilon, 0, "epsilon", "pass epsilon as a float")
+    if epsilon == 0.0:
+        raise ValueError("epsilon must be > 0")
     if n >= _MEAN_LIMIT:
         raise ValueError(
             "n must be below 2**2046, where the mean's binary64 value could "

@@ -84,16 +84,32 @@ def sigma_route_enclosure(nu: int, n: int, r: float) -> Enclosure:
     return Enclosure(raw_lo - eta, raw_hi + eta)
 
 
-def check_argument_policy(fn):
-    """The argument policy of eval_A and the Lemma-2 envelopes: a float, or
-    an exact integer up to 2**53, which converts to binary64 exactly."""
+def check_argument_policy(call, name, minimum):
+    """The one policy of the package's real arguments (x of eval_A and the
+    Lemma-2 envelopes, r, epsilon): a float, or an exact integer up to
+    2**53, which converts to binary64 exactly.  call takes the argument,
+    name is its name and minimum the least value its domain admits."""
     for bad in (Fraction(5, 2), Decimal("3"), np.float32(3)):
         with pytest.raises(TypeError):
-            fn(bad)
-    assert fn(np.int64(7)) == fn(7.0)
-    assert fn(2 ** 53) == fn(float(2 ** 53))
-    with pytest.raises(ValueError, match=r"2\*\*53"):
-        fn(2 ** 53 + 1)
+            call(bad)
+    with pytest.raises(TypeError, match=f"{name} must be a real number"):
+        call("2")
+    assert call(np.int64(7)) == call(7.0)
+    assert call(2 ** 53) == call(float(2 ** 53))
+    # ValueError naming the bound, never OverflowError
+    for big in (2 ** 53 + 1, 10 ** 400):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            call(big)
+    # the domain is checked on the exact integer first
+    with pytest.raises(ValueError, match=f"{name} must be >= {minimum}"):
+        call(-10 ** 400)
+
+
+def test_epsilon_argument_policy():
+    # fast_mean's epsilon follows the same policy, with its own zero test
+    check_argument_policy(lambda eps: fast_mean(100, eps), "epsilon", 0)
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        fast_mean(100, 0)
 
 
 class TestEvalA:
@@ -125,7 +141,7 @@ class TestEvalA:
         assert eval_A(2) == eval_A(2.0)
 
     def test_argument_policy(self):
-        check_argument_policy(eval_A)
+        check_argument_policy(eval_A, "x", 1)
 
     @pytest.mark.parametrize("bad", [0.5, 0, -3.0, math.inf, math.nan])
     def test_rejects_out_of_domain(self, bad):
@@ -375,6 +391,14 @@ class TestRootOrder:
             RootOrder(bytearray(b"2"))
         with pytest.raises(TypeError, match="r must be a real number"):
             partial_sum_root_enclosure(1, 10, bytearray(b"3"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [RootOrder, lambda r: partial_sum_root_enclosure(1, 10, r)],
+        ids=["RootOrder", "enclosure"],
+    )
+    def test_argument_policy(self, call):
+        check_argument_policy(call, "r", 1)
 
     def test_rejects_bool(self):
         # True is an int only by accident: it must not pass as r = 1
@@ -649,6 +673,8 @@ class TestLemma2:
         with pytest.raises(ValueError):
             lemma2_lower(5.999)
 
-    @pytest.mark.parametrize("fn", [lemma2_upper, lemma2_lower], ids=["upper", "lower"])
-    def test_argument_policy(self, fn):
-        check_argument_policy(fn)
+    @pytest.mark.parametrize(
+        "fn,minimum", [(lemma2_upper, 2), (lemma2_lower, 6)], ids=["upper", "lower"]
+    )
+    def test_argument_policy(self, fn, minimum):
+        check_argument_policy(fn, "x", minimum)

@@ -42,11 +42,11 @@ def test_closed_form_legs_on_a_three_query_pool():
     # every leg ran
     assert sorted(times) == sorted(legs.LEGS["closed_form"])
     assert all(ms > 0 for ms in times.values()) and result["round_ms"] > 0
-    # per round: two square-root enclosures, each S(n) - S(nu - 1), of which
-    # S(0) is not read, and two libm powers for the one r = 3 query
+    # per round: two square-root enclosures, each S(n) - S(nu - 1) (S(0),
+    # the empty sum, read too), and two libm powers for the one r = 3 query
     assert result["calls"] == {
         "asymptotic.partial_sum_sqrt_enclosure": 2,
-        "_scaled.partial_sum_enc": 3,
+        "_scaled.partial_sum_enc": 4,
         "asymptotic._pow_value": 2,
     }
 

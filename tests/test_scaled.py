@@ -219,6 +219,8 @@ class TestPartialSumEnc:
             s = prefix[n] - prefix[nu - 1]
             assert lo <= s + n - nu + 1 and s <= hi, (nu, n)
 
-    def test_rejects_nonpositive(self):
+    def test_empty_sum_and_negative_n(self):
+        # S(0) = 0 is the empty sum, exactly; only n < 0 is refused
+        assert _scaled.partial_sum_enc(0) == (0, 0)
         with pytest.raises(ValueError):
-            _scaled.partial_sum_enc(0)
+            _scaled.partial_sum_enc(-1)
