@@ -58,7 +58,7 @@ def _check_float_range(n: int, name: str, instead: str) -> int:
     integer precision: every integer up to 2**53 converts to binary64
     exactly.  This is the package's one 2**53 guard, reached by eval_A, the
     envelopes, RootOrder's r, fast_mean's epsilon, the r-th-root enclosures
-    for r other than 1 and 2, the oracle and the sweep (and by the CLI
+    for r other than 1 and 2 and the oracle (and the sweep and the CLI
     through them); the exact integer paths never call it.  The message
     names the bound, not n, which may be too long to render, and ends with
     `instead`, the caller's way past it."""

@@ -24,7 +24,7 @@ import time
 
 from . import _scaled
 from .asymptotic import _Record, _series_sum, partial_sum_root_enclosure
-from .evaluator import _DEFAULT_CAP, fast_mean, oracle_mean, sweep_theorem1
+from .evaluator import _check_terms, fast_mean, oracle_mean, sweep_theorem1
 from .exactfloor import floor_A_exact
 
 __all__ = ["QueryResult", "build_parser", "main"]
@@ -147,15 +147,15 @@ def _run_sum(args: argparse.Namespace) -> "tuple[QueryResult, int]":
     )
 
 
-def _verify_theorem1(max_n: int, cap: int):
-    checked, mismatches = sweep_theorem1(max_n, cap=cap)
+def _verify_theorem1(max_n: int):
+    checked, mismatches = sweep_theorem1(max_n)
     failures = [
         (str(n), f"floor {exp}", f"floor {got}") for n, exp, got in mismatches
     ]
     return checked, failures
 
 
-def _verify_delta(max_n: int, cap: int):
+def _verify_delta(max_n: int):
     """Exact scaled-integer containment sigma(nu+2,n+2) < delta_{nu,n} <
     sigma(nu,n) on sampled pairs, plus delta_{1,n} < 3/2, each delta from
     _scaled.delta_enc in O(1); its bracket stops deciding near n = 10**8."""
@@ -303,7 +303,7 @@ _PROOF_MODES = ("lemma2", "lemma3")  # proved for every x and m: no --max-n read
 
 
 def _run_verify(args: argparse.Namespace) -> "tuple[QueryResult, int]":
-    checked, failures = _VERIFY_MODES[args.mode](args.max_n, args.oracle_cap)
+    checked, failures = _VERIFY_MODES[args.mode](args.max_n)
     passed = checked - len(failures)
     extra = {"failures": str(len(failures))}
     if failures:
@@ -324,10 +324,11 @@ def _run_verify(args: argparse.Namespace) -> "tuple[QueryResult, int]":
 
 
 def _run_bench(args: argparse.Namespace) -> "tuple[QueryResult | None, int]":
+    _check_terms(sum(args.sizes))  # all the passes together, before the first
     rows = []
     for n in args.sizes:
         t0 = time.perf_counter()
-        oracle = oracle_mean(n, cap=args.oracle_cap)
+        oracle = oracle_mean(n)
         t1 = time.perf_counter()
         result = fast_mean(n, args.eps)
         t2 = time.perf_counter()
@@ -361,11 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output record format (default: text)",
     )
-    oracle = argparse.ArgumentParser(add_help=False)
-    oracle.add_argument(
-        "--oracle-cap", type=_positive_int, default=_DEFAULT_CAP, metavar="COUNT",
-        help="max terms any direct summation may touch (default: 10**8)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="rootmean",
@@ -391,12 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="root order r >= 1 (default: 2)")
     p.set_defaults(func=_run_sum)
 
-    p = sub.add_parser("verify", parents=[common, oracle], help="property sweeps")
+    p = sub.add_parser("verify", parents=[common], help="property sweeps")
     p.add_argument("--max-n", type=_positive_int, default=100_000)
     p.add_argument("--mode", choices=sorted(_VERIFY_MODES), required=True)
     p.set_defaults(func=_run_verify)
 
-    p = sub.add_parser("bench", parents=[common, oracle],
+    p = sub.add_parser("bench", parents=[common],
                        help="time oracle summation versus fast_mean")
     p.add_argument("sizes", type=_positive_int, nargs="*",
                    default=[10_000, 100_000, 1_000_000])

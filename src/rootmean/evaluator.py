@@ -34,8 +34,7 @@ two ends of each block on which floor(A(n)) is constant, and takes the
 floors in integers: Sigma(n) increases, so the ends pin the block; an
 end whose bracket straddles an integer is decided by the Euler-Maclaurin
 bracket instead.  The oracle is the only code here that loads numpy, and
-it refuses a pass over more than cap terms (10**8 unless the caller says
-otherwise).
+every direct summation refuses more than 10**8 terms before any work.
 """
 
 from __future__ import annotations
@@ -83,18 +82,17 @@ _RUN = 1 << 11  # a window cuts a run every _RUN roots: their 2**52 + f sum belo
 # it for every 4**e <= 2**52, so each binade of roots k <= 2**53 starts at
 # one of these k
 _BINADE_EDGES = tuple(4 ** e for e in range(1, 27))
-_DEFAULT_CAP = 100_000_000  # the most terms one oracle pass touches by default
+_MAX_TERMS = 10 ** 8  # the most terms one direct summation touches
+_MEAN_INSTEAD = "`rootmean mean` takes any n below 2**2046"  # past 2**53 and _MAX_TERMS
 _ORACLE_ONE = 1 << 54  # oracle unit 2**-54: half a spacing of a root >= 1 is whole
 
 
-def _check_cap(count: int, cap: int) -> None:
-    """Refuse an oracle pass over more than cap terms before any work.
-    Every caller checks count against 2**53 first, so the message can
-    render both numbers."""
-    if cap < 1:
-        raise ValueError(f"oracle cap must be >= 1, got {cap}")
-    if count > cap:
-        raise ValueError(f"range of {count} terms exceeds the oracle cap {cap}")
+def _check_terms(count: int, instead: str = _MEAN_INSTEAD) -> None:
+    """Refuse direct summation of more than _MAX_TERMS terms, before any
+    work.  The message names the limit, not count, which may be too long
+    to render, and ends with `instead`, the caller's way past it."""
+    if count > _MAX_TERMS:
+        raise ValueError(f"direct summation stops at 10**8 terms: {instead}")
 
 
 def _exact_runs(
@@ -129,7 +127,7 @@ def _exact_runs(
     return map(lshift, raw.tolist(), (exps - 1021).tolist()), exps
 
 
-def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
+def _oracle_pass(nu: int, marks) -> "tuple[list[int], list[int]]":
     """(totals, charges), aligned with marks: at each mark m,
     total - charge <= 2**54 sum_{k=nu}^{m} sqrt(k) <= total + charge, in
     one pass over fixed chunks of _CHUNK terms.  The midpoint total is the
@@ -154,7 +152,7 @@ def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
     planned.  a + ramp is exact since every k <= 2**53."""
     if not len(marks):
         return [], []
-    top = _check_float_range(marks[-1], "n", "`rootmean mean` takes any n below 2**2046")
+    top = _check_float_range(marks[-1], "n", _MEAN_INSTEAD)
     import numpy as np
 
     marks = np.asarray(marks)
@@ -162,7 +160,6 @@ def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
         raise TypeError(f"oracle marks must be integers, got {marks.dtype}")
     if marks[0] < nu or not (marks[1:] > marks[:-1]).all():  # no int64 difference to wrap
         raise ValueError(f"oracle marks must increase strictly from nu = {nu}")
-    _check_cap(top - nu + 1, cap)
     totals: list[int] = []
     charges: list[int] = []
     total = charge = 0
@@ -206,31 +203,32 @@ def _oracle_pass(nu: int, marks, cap: int) -> "tuple[list[int], list[int]]":
     return totals, charges
 
 
-def _oracle_brackets(nu: int, marks, cap: int) -> "dict[int, tuple[int, int]]":
+def _oracle_brackets(nu: int, marks) -> "dict[int, tuple[int, int]]":
     """{m: (lo, hi)} with lo <= 2**54 sum_{k=nu}^{m} sqrt(k) <= hi at each
-    mark m >= nu: the marks are validated, de-duplicated and sorted, then
-    read by _oracle_pass."""
+    mark m >= nu: the marks are validated, de-duplicated and sorted, held
+    to 2**53 and to _MAX_TERMS terms, then read by _oracle_pass."""
     marks = sorted({_as_index(m) for m in marks})
     if not marks:
         return {}
     if marks[0] < nu:
         raise ValueError("need nu <= n")
-    totals, charges = _oracle_pass(nu, marks, cap)
+    _check_terms(_check_float_range(marks[-1], "n", _MEAN_INSTEAD) - nu + 1)
+    totals, charges = _oracle_pass(nu, marks)
     return dict(zip(marks, zip(map(sub, totals, charges), map(add, totals, charges))))
 
 
-def oracle_sum_sqrt(nu: int, n: int, *, cap: int = _DEFAULT_CAP) -> Enclosure:
+def oracle_sum_sqrt(nu: int, n: int) -> Enclosure:
     """Ground-truth enclosure of sum_{k=nu}^{n} sqrt(k) by direct summation:
     the exact integer bracket of _oracle_brackets, rounded outward once."""
     nu = _as_index(nu, name="nu")
-    ((lo, hi),) = _oracle_brackets(nu, [n], cap).values()
+    ((lo, hi),) = _oracle_brackets(nu, [n]).values()
     return _outward(lo, hi, _ORACLE_ONE)
 
 
-def oracle_mean(n: int, *, cap: int = _DEFAULT_CAP) -> Enclosure:
+def oracle_mean(n: int) -> Enclosure:
     """Enclosure of the mean Sigma(n): the oracle's integer bracket of the
     sum over [1, n], divided by n 2**54 and rounded outward once."""
-    (enc,) = _oracle_mean_many([n], cap=cap).values()
+    (enc,) = _oracle_mean_many([n]).values()
     return enc
 
 
@@ -393,13 +391,13 @@ def fast_mean(n: int, epsilon: float) -> CertifiedMean:
     return result
 
 
-def _oracle_mean_many(ns, *, cap: int = _DEFAULT_CAP) -> "dict[int, Enclosure]":
+def _oracle_mean_many(ns) -> "dict[int, Enclosure]":
     """Oracle mean enclosures at several marks in one prefix pass: each
     mark's integer bracket from _oracle_brackets over n 2**54, rounded
     outward once.  The batch reference the tests check fast_mean against."""
     return {
         n: _outward(lo, hi, n * _ORACLE_ONE)
-        for n, (lo, hi) in _oracle_brackets(1, ns, cap).items()
+        for n, (lo, hi) in _oracle_brackets(1, ns).items()
     }
 
 
@@ -424,12 +422,12 @@ def _floor_blocks(max_n: int) -> "tuple[list[int], list[int]]":
     return starts, ends
 
 
-def _oracle_floors(marks, cap: int) -> "list[int]":
+def _oracle_floors(marks) -> "list[int]":
     """floor(Sigma(n)) at each mark n, which must strictly increase from 1:
     from the oracle's integer bracket, or, where the bracket straddles an
     integer, from the Euler-Maclaurin bracket _scaled.partial_sum_enc(n),
     one O(1) read proven independently of the summation."""
-    totals, charges = _oracle_pass(1, marks, cap)
+    totals, charges = _oracle_pass(1, marks)
     # floor(x / (n 2**54)) = floor(floor(x / 2**54) / n) for integers x
     floors = list(map(floordiv, map(rshift, map(sub, totals, charges), repeat(54)), marks))
     highs = map(floordiv, map(rshift, map(add, totals, charges), repeat(54)), marks)
@@ -451,12 +449,11 @@ def _oracle_floors(marks, cap: int) -> "list[int]":
     return floors
 
 
-def sweep_theorem1(
-    max_n: int, *, cap: int = _DEFAULT_CAP
-) -> tuple[int, list[tuple[int, int, int]]]:
+def sweep_theorem1(max_n: int) -> tuple[int, list[tuple[int, int, int]]]:
     """Verify that the exact closed-form floor matches the oracle floor of
     Sigma(n) for every n in [1, max_n].  Returns (checked, mismatches),
-    each mismatch being (n, expected_floor, oracle_floor).
+    each mismatch being (n, expected_floor, oracle_floor).  A max_n above
+    _MAX_TERMS is refused before any work.
 
     The oracle is read only at the ends of the floor blocks (alpha(m-1),
     alpha(m)], about (4/3) sqrt(max_n) marks (1930 at 2**21).  Sigma(n) is
@@ -477,11 +474,7 @@ def sweep_theorem1(
     signal degenerate bounds and fail loudly (more than 64 of them raise).
     """
     max_n = _as_index(max_n, name="max_n")
-    _check_float_range(
-        max_n, "max_n",
-        "direct summation stops at 2**53, and `rootmean floor` gives floor(Sigma(n)) for any n",
-    )
-    _check_cap(max_n, cap)
+    _check_terms(max_n, "`rootmean floor` gives floor(Sigma(n)) for any n")
 
     starts, ends = _floor_blocks(max_n)
     marks = list(chain.from_iterable(zip(starts, ends)))
@@ -490,7 +483,7 @@ def sweep_theorem1(
     single = marks[-2] == marks[-1]
     if single:
         marks.pop()
-    floors = _oracle_floors(marks, cap)
+    floors = _oracle_floors(marks)
     if single:
         floors.append(floors[-1])
     ms = range(1, len(starts) + 1)
@@ -503,5 +496,5 @@ def sweep_theorem1(
         block = range(starts[m - 1], ends[m - 1] + 1)
         ns += block
         expected += [m] * len(block)
-    floors = _oracle_floors(ns, cap)
+    floors = _oracle_floors(ns)
     return max_n, [(n, m, f) for n, m, f in zip(ns, expected, floors) if f != m]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootmean import cli
+from rootmean import cli, evaluator
 from rootmean.evaluator import fast_mean, oracle_mean
 from rootmean.exactfloor import alpha_floor, floor_A_exact
 
@@ -254,7 +254,7 @@ class TestVerify:
         assert passed == checked and int(checked) > 0
 
     def test_failure_reporting_and_exit_code(self, capsys, monkeypatch):
-        def fake_mode(max_n, cap):
+        def fake_mode(max_n):
             return 3, [("5", "floor 1", "floor 2")]
 
         monkeypatch.setitem(cli._VERIFY_MODES, "theorem1", fake_mode)
@@ -508,7 +508,7 @@ class TestHugeInputs:
     def test_bench(self, capsys):
         code, out, err = run_cli(capsys, "bench", self.HUGE)
         assert code == 2 and out == ""
-        assert "2**53" in err and "4300" not in err
+        assert "10**8 terms" in err and "4300" not in err
         # the refusal names the command that takes any n, not a function
         assert "`rootmean mean` takes any n below 2**2046" in err
         assert "partial_sum_sqrt_enclosure" not in err and "fast_mean" not in err
@@ -516,10 +516,10 @@ class TestHugeInputs:
     def test_verify_theorem1(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--mode", "theorem1", "--max-n", self.HUGE)
         assert code == 2 and out == ""
-        assert "2**53" in err and "4300" not in err
-        # direct summation stops at 2**53; floor_A_exact verifies nothing,
-        # and `rootmean floor` answers any n
-        assert "direct summation stops at 2**53" in err
+        assert "10**8 terms" in err and "4300" not in err
+        # direct summation stops at 10**8 terms; floor_A_exact verifies
+        # nothing, and `rootmean floor` answers any n
+        assert "direct summation stops at 10**8 terms" in err
         assert "`rootmean floor` gives floor(Sigma(n)) for any n" in err
         assert "floor_A_exact" not in err
 
@@ -530,22 +530,49 @@ class TestHugeInputs:
 
 
 class TestOracleCap:
-    def test_flag_caps_the_oracle(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench", "100000", "--eps", "1e-12", "--oracle-cap", "10"
-        )
-        assert code == 2 and "cap" in err
+    """No subcommand takes --oracle-cap: direct summation stops at a fixed
+    10**8 terms, and a request past it is refused before any work."""
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        # the flag is the one way to set the cap: the environment no longer
-        # reaches it, so a cap of 10 there changes nothing
-        monkeypatch.setenv("ROOTMEAN_ORACLE_CAP", "10")
-        for extra in ([], ["--oracle-cap", "100000000"]):
-            code, out, _ = run_cli(
-                capsys, "bench", "100000", "--eps", "1e-12", "--format", "json", *extra
-            )
-            assert code == 0
-            assert float(json.loads(out)["rows"][0]["error_bound"]) <= 1e-12
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Counts the oracle passes run and the floor-block tables built."""
+        counts = dict.fromkeys(("_oracle_pass", "_floor_blocks"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(evaluator, name)):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(evaluator, name, counted)
+        return counts
+
+    def test_verify_and_bench_reject_the_flag(self, capsys):
+        for argv in (["verify", "--mode", "theorem1"], ["bench", "1000"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(capsys, *argv, "--oracle-cap", "10")
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --oracle-cap" in capsys.readouterr().err
+
+    def test_bench_checks_the_total_before_any_pass(self, capsys, work):
+        # the sizes' sum is held to the limit, even where each size is within it
+        for sizes in (["100000000", "100000001"], ["60000000", "60000000"]):
+            code, out, err = run_cli(capsys, "bench", *sizes)
+            assert code == 2 and out == ""
+            assert (
+                "direct summation stops at 10**8 terms: "
+                "`rootmean mean` takes any n below 2**2046"
+            ) in err
+        assert work == {"_oracle_pass": 0, "_floor_blocks": 0}
+        code, out, _ = run_cli(capsys, "bench", "100000", "--eps", "1e-12", "--format", "json")
+        assert code == 0 and work == {"_oracle_pass": 1, "_floor_blocks": 0}
+        assert float(json.loads(out)["rows"][0]["error_bound"]) <= 1e-12
+
+    def test_verify_theorem1_refuses_before_any_work(self, capsys, work):
+        code, out, err = run_cli(
+            capsys, "verify", "--mode", "theorem1", "--max-n", "100000001"
+        )
+        assert code == 2 and out == ""
+        assert "direct summation stops at 10**8 terms: `rootmean floor`" in err
+        assert work == {"_oracle_pass": 0, "_floor_blocks": 0}
 
     def test_mean_takes_no_oracle_cap(self, capsys):
         # fast_mean never reaches the oracle, so mean has no cap to set

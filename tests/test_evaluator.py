@@ -5,6 +5,7 @@ machinery."""
 import bisect
 import decimal
 import functools
+import inspect
 import math
 import random
 import re
@@ -23,7 +24,7 @@ from rootmean import _scaled, evaluator
 from rootmean.asymptotic import _round_up, delta_bounds, partial_sum_sqrt_enclosure
 from rootmean.evaluator import (
     _CHUNK,
-    _DEFAULT_CAP,
+    _MAX_TERMS,
     _WINDOW,
     ErrorBudget,
     _certify,
@@ -108,6 +109,19 @@ def calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """The number of terms of each oracle pass, in order."""
+    terms = []
+
+    def counted(nu, marks, real=evaluator._oracle_pass):
+        terms.append(marks[-1] - nu + 1)
+        return real(nu, marks)
+
+    monkeypatch.setattr(evaluator, "_oracle_pass", counted)
+    return terms
+
+
 def counted_fast_mean(calls, n, epsilon, brackets=1):
     """fast_mean(n, epsilon), asserting that the call, returning or raising,
     read exactly `brackets` integer brackets and summed nothing."""
@@ -147,10 +161,20 @@ class TestOracleSum:
         # a handful of ulps of the ~7e8 total
         assert whole.width() < 16 * math.ulp(whole.hi)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            oracle_sum_sqrt(1, 1000, cap=999)
-        assert oracle_sum_sqrt(1, 1000, cap=1000).lo > 0
+    def test_refuses_more_than_max_terms(self, passes):
+        # more than 10**8 terms are refused before the pass starts; a short
+        # range up to 2**53 still answers
+        with pytest.raises(ValueError, match=r"10\*\*8 terms: `rootmean mean`"):
+            oracle_sum_sqrt(1, _MAX_TERMS + 1)
+        assert passes == []
+        enc = oracle_sum_sqrt(2 ** 53 - 9, 2 ** 53)
+        assert passes == [10]
+        assert mp.mpf(enc.lo) <= mp_sqrt_sum(2 ** 53 - 9, 2 ** 53) <= mp.mpf(enc.hi)
+
+    @pytest.mark.parametrize("fn", [oracle_sum_sqrt, oracle_mean, sweep_theorem1])
+    def test_no_summing_function_takes_a_cap(self, fn):
+        # the limit is fixed: no keyword raises it
+        assert "cap" not in inspect.signature(fn).parameters
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -599,12 +623,13 @@ class TestFastMean:
         assert fast.value - fast.error_bound <= direct.hi
         assert fast.value + fast.error_bound >= direct.lo
 
-    def test_cap_propagates(self):
-        # the oracle cap reaches the oracle's callers, and no longer reaches
-        # fast_mean, which sums nothing beyond its fixed head
-        with pytest.raises(ValueError, match="cap"):
-            oracle_mean(10 ** 5, cap=10)
-        assert fast_mean(10 ** 5, 1e-9).error_bound <= 1e-9
+    def test_oracle_mean_refuses_more_than_max_terms(self, passes):
+        # the oracle refuses more than 10**8 terms before the pass starts;
+        # fast_mean, which sums nothing beyond its fixed head, answers
+        with pytest.raises(ValueError, match=r"10\*\*8 terms: `rootmean mean`"):
+            oracle_mean(_MAX_TERMS + 1)
+        assert passes == []
+        assert fast_mean(_MAX_TERMS + 1, 1e-9).error_bound <= 1e-9
 
     def test_tiny_n(self):
         r = fast_mean(1, 0.5)
@@ -680,9 +705,13 @@ class TestSweep:
         assert sweep_theorem1(1) == (1, [])
         assert sweep_theorem1(2) == (2, [])
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            sweep_theorem1(100, cap=10)
+    def test_refuses_more_than_max_terms(self, passes, monkeypatch):
+        # the limit is checked before the floor blocks are built
+        blocks = []
+        monkeypatch.setattr(evaluator, "_floor_blocks", lambda n: blocks.append(n))
+        with pytest.raises(ValueError, match=r"10\*\*8 terms: `rootmean floor`"):
+            sweep_theorem1(_MAX_TERMS + 1)
+        assert passes == [] and blocks == []
 
     @pytest.fixture
     def straddled(self, monkeypatch):
@@ -703,8 +732,8 @@ class TestSweep:
         end = _floor_blocks(10 ** 4)[1][39]
         seen = []
 
-        def widened(nu, ns, cap, real=evaluator._oracle_pass):
-            totals, charges = real(nu, ns, cap)
+        def widened(nu, ns, real=evaluator._oracle_pass):
+            totals, charges = real(nu, ns)
             i = ns.index(end)
             charges[i] = abs(totals[i] - (41 * end << 54)) + 1
             lo, hi = totals[i] - charges[i], totals[i] + charges[i]
@@ -720,8 +749,8 @@ class TestSweep:
         # a reader whose every bracket reaches from 0 to twice the sum
         # straddles at each of the 132 block ends up to 10**4: degenerate
         # bounds fail loudly before any end is decided
-        def degenerate(nu, ns, cap, real=evaluator._oracle_pass):
-            totals, _ = real(nu, ns, cap)
+        def degenerate(nu, ns, real=evaluator._oracle_pass):
+            totals, _ = real(nu, ns)
             return totals, totals
 
         monkeypatch.setattr(evaluator, "_oracle_pass", degenerate)
@@ -741,9 +770,9 @@ class TestSweep:
         bad = block[first : last + 1 or None]
         reads = []
 
-        def shifted(nu, ns, cap, real=evaluator._oracle_pass):
+        def shifted(nu, ns, real=evaluator._oracle_pass):
             reads.append(len(ns))
-            totals, charges = real(nu, ns, cap)
+            totals, charges = real(nu, ns)
             for i, n in enumerate(ns):
                 if n in bad:
                     totals[i] += n << 54
@@ -752,7 +781,7 @@ class TestSweep:
         monkeypatch.setattr(evaluator, "_oracle_pass", shifted)
         flagged = []
         for n in range(start, end + 1):
-            (total,), (charge,) = shifted(1, [n], evaluator._DEFAULT_CAP)
+            (total,), (charge,) = shifted(1, [n])
             lo, hi = total - charge, total + charge
             if lo // (n << 54) == hi // (n << 54) != m:
                 flagged.append((n, m, lo // (n << 54)))
@@ -769,8 +798,8 @@ class TestSweep:
         assert starts[-1] == ends[-1] == max_n
         assert sweep_theorem1(max_n) == (max_n, [])
 
-        def shifted(nu, ns, cap, real=evaluator._oracle_pass):
-            totals, charges = real(nu, ns, cap)
+        def shifted(nu, ns, real=evaluator._oracle_pass):
+            totals, charges = real(nu, ns)
             return [t + (n << 54) * (n == max_n) for n, t in zip(ns, totals)], charges
 
         monkeypatch.setattr(evaluator, "_oracle_pass", shifted)
@@ -887,7 +916,7 @@ class TestExactChunkSum:
         # rounds to their correctly rounded sum
         end = start + _SPAN - 1
         roots = np.sqrt(np.arange(start, end + 1, dtype=np.float64))
-        lo, hi = _oracle_brackets(start, [end], _SPAN)[end]
+        lo, hi = _oracle_brackets(start, [end])[end]
         assert (lo + hi) % 2 == 0 and _exact_sum_is(roots, (lo + hi) // 2)
         assert (lo + hi) / (2 << 54) == math.fsum(roots)
 
@@ -899,7 +928,7 @@ class TestExactChunkSum:
     def test_matches_fsum_anywhere(self, start, count):
         end = start + count - 1
         roots = np.sqrt(np.arange(start, end + 1, dtype=np.float64))
-        lo, hi = _oracle_brackets(start, [end], count)[end]
+        lo, hi = _oracle_brackets(start, [end])[end]
         assert Fraction(lo + hi, 2 << 54) == sum(map(Fraction, roots.tolist()))
         assert (lo + hi) / (2 << 54) == math.fsum(roots)
 
@@ -947,7 +976,7 @@ class TestExactChunkSum:
         roots = np.sqrt(np.arange(start, start + count, dtype=np.float64))
         edges = [1, 2, 3, _CHUNK - 1, _CHUNK, _SPAN - 1, _SPAN, count - 1]
         idx = np.unique(np.concatenate([np.arange(0, count, 997), edges]))
-        brackets = _oracle_brackets(start, (start + idx).tolist(), count)
+        brackets = _oracle_brackets(start, (start + idx).tolist())
         spacings = np.cumsum(np.spacing(roots))[idx]
         for i, spacing in zip(idx.tolist(), spacings.tolist()):
             lo, hi = brackets[start + i]
@@ -1005,7 +1034,7 @@ def test_oracle_bracket_overlaps_euler_maclaurin_bracket():
     # at 2**96 scale at every block end up to 2**17
     marks = _block_ends(2 ** 17)
     scale = 1 << (_scaled.BITS - 54)
-    for n, (lo, hi) in _oracle_brackets(1, marks, 2 ** 17).items():
+    for n, (lo, hi) in _oracle_brackets(1, marks).items():
         em_lo, em_hi = _scaled.partial_sum_enc(n)
         assert lo * scale <= em_hi and em_lo <= hi * scale, n
 
@@ -1031,13 +1060,13 @@ def _frozen_chunk_sums(roots, starts, work):
     return [((h << 31) + w) << shift for h, w in zip(high, low)], charges
 
 
-def _frozen_oracle_brackets(nu, marks, cap):
+def _frozen_oracle_brackets(nu, marks):
     """The oracle pass before the bit-pattern kernel, over its own fixed
     2**15-term chunks: the reference whose brackets the kernel must
     reproduce bit for bit."""
     marks = sorted(set(marks))
     top = marks[-1]
-    assert nu <= marks[0] and top <= 2 ** 53 and top - nu + 1 <= cap
+    assert nu <= marks[0] and top <= 2 ** 53
     out = {}
     total = charge = 0
     size = min(_FROZEN_CHUNK, top - nu + 1)
@@ -1083,8 +1112,8 @@ class TestBitIdentity:
         ids=["block-ends-2^21", "binade-edges", "chunk", "window", "nu=7", "nu=4^20-3", "nu=2^52"],
     )
     def test_brackets_match_frozen_pass(self, nu, marks):
-        new = _oracle_brackets(nu, marks, _DEFAULT_CAP)
-        frozen = _frozen_oracle_brackets(nu, marks, _DEFAULT_CAP)
+        new = _oracle_brackets(nu, marks)
+        frozen = _frozen_oracle_brackets(nu, marks)
         assert new.keys() == frozen.keys()
         assert sorted(new) == sorted(set(marks))
         roots = np.sqrt(np.arange(nu, max(marks) + 1, dtype=np.float64))
@@ -1101,10 +1130,10 @@ class TestBitIdentity:
         result = sweep_theorem1(max_n)
         reads = []
 
-        def frozen(nu, marks, cap):
+        def frozen(nu, marks):
             # the frozen brackets in the list reader's form
             reads.append(len(marks))
-            brackets = _frozen_oracle_brackets(nu, marks, cap)
+            brackets = _frozen_oracle_brackets(nu, marks)
             lo, hi = zip(*map(brackets.__getitem__, marks))
             return [(a + b) // 2 for a, b in zip(lo, hi)], [(b - a) // 2 for a, b in zip(lo, hi)]
 
@@ -1126,26 +1155,26 @@ class TestBitIdentity:
             (1, [1, 5, -(2 ** 63) + 1, 0, 5]),  # the int64 steps between them wrap
         ]:
             with pytest.raises(ValueError, match="increase strictly"):
-                _oracle_pass(nu, marks, _DEFAULT_CAP)
+                _oracle_pass(nu, marks)
         for marks in ([2.5, 3.9], [True], [1, 2.0]):
             with pytest.raises(TypeError):
-                _oracle_pass(1, marks, _DEFAULT_CAP)
-        assert _oracle_pass(1, [], _DEFAULT_CAP) == ([], [])
+                _oracle_pass(1, marks)
+        assert _oracle_pass(1, []) == ([], [])
         # the dict front sorts and de-duplicates, and still refuses what
         # is not an exact integer
-        front = _oracle_brackets(1, [9, 3, 9, 5, 3], _DEFAULT_CAP)
-        totals, charges = _oracle_pass(1, [3, 5, 9], _DEFAULT_CAP)
+        front = _oracle_brackets(1, [9, 3, 9, 5, 3])
+        totals, charges = _oracle_pass(1, [3, 5, 9])
         assert front == {m: (t - c, t + c) for m, t, c in zip([3, 5, 9], totals, charges)}
         for marks in ([2.5, 3.9], [True]):
             with pytest.raises(TypeError):
-                _oracle_brackets(1, marks, _DEFAULT_CAP)
+                _oracle_brackets(1, marks)
 
 
 def _peak_bytes(n):
     """tracemalloc's peak over one oracle pass of n terms read at n alone."""
     tracemalloc.start()
     try:
-        _oracle_brackets(1, [n], n)
+        _oracle_brackets(1, [n])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1163,7 +1192,7 @@ class TestChunkPartition:
         brackets = []
         for size in (1 << 20, _CHUNK, 1 << 12):
             monkeypatch.setattr(evaluator, "_CHUNK", size)
-            brackets.append(_oracle_brackets(1, marks, _DEFAULT_CAP))
+            brackets.append(_oracle_brackets(1, marks))
         first, *others = brackets
         assert sorted(first) == marks
         assert all(other == first for other in others)

@@ -20,7 +20,7 @@ def test_sweep_legs_on_a_two_query_pool():
     before = {name: getattr(evaluator, name.split(".")[1], None) for name in names}
     result = legs.time_legs(rootmean, calls, [["sweep", 3000], ["sweep", 70000]], names, 2)
     assert result["rounds"] == 2 and result["queries"] == 2
-    assert result["absent"] == ["evaluator._no_such_leg"]
+    assert result["absent"] == ["evaluator._no_such_leg"] and result["uncalled"] == []
     times = result["legs"]
     assert sorted(times) == sorted(legs.LEGS["sweep"])
     # each leg ran once per query and round: no block reads another floor,
@@ -49,6 +49,22 @@ def test_closed_form_legs_on_a_three_query_pool():
         "_scaled.partial_sum_enc": 4,
         "asymptotic._pow_value": 2,
     }
+
+
+def test_a_leg_reached_only_through_another_binding_is_uncalled():
+    # evaluator binds asymptotic's _round_up by name, so fast_mean's
+    # readout reaches it through evaluator only: named where it is defined,
+    # the leg reads no call and is listed as uncalled
+    import rootmean
+
+    calls = legs.bench_module(ROOT, "worker")._calls(rootmean)
+    names = ["asymptotic._round_up", "evaluator._round_up"]
+    pool = [["mean", 100, 1e-9], ["mean", 10 ** 6, 1e-12]]
+    result = legs.time_legs(rootmean, calls, pool, names, 2)
+    assert result["absent"] == [] and result["uncalled"] == ["asymptotic._round_up"]
+    # _certify rounds up the bound and the budget's three shares
+    assert result["calls"] == {"asymptotic._round_up": 0, "evaluator._round_up": 8}
+    assert result["legs"]["asymptotic._round_up"] == 0 < result["legs"]["evaluator._round_up"]
 
 
 def test_no_leg_pays_for_another_legs_wrapper(monkeypatch):
@@ -82,6 +98,8 @@ def test_cli_prints_one_json_line(capsys):
     out = json.loads(capsys.readouterr().out)
     assert (out["workload"], out["seed"], out["rounds"]) == ("mean_loose", 3, 1)
     assert sorted(out["legs"]) == sorted(legs.MEAN_LEGS) and out["absent"] == []
+    # the worker reads no decimal_value, so the lazy rendering never runs
+    assert out["uncalled"] == ["evaluator._shortest_roundtrip"]
     assert sorted(out["calls"]) == sorted(legs.MEAN_LEGS)
     assert all(isinstance(n, int) and n >= 0 for n in out["calls"].values())
     assert out["round_ms"] > 0

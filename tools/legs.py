@@ -16,7 +16,9 @@ leg's wrapper adds to it.  A leg's time includes the legs it calls
 whole pool runs with no wrapper and is followed by one round per leg.  One
 JSON line gives the median ms per round of the whole round and of each
 leg, each leg's median calls per round, and lists as absent the legs the
-checkout lacks.
+checkout lacks and as uncalled the legs no call reached in any round: a
+function that another module binds by name is reached through that
+module's attribute (evaluator._round_up, not asymptotic._round_up).
 
 It measures no set-up, latency or memory and checks no answer: it splits
 a round into legs, and a gain is claimed from tools/bench_pairs.py.
@@ -75,7 +77,8 @@ def time_legs(rootmean, calls: dict, pool: list, legs, rounds: int) -> dict:
     and calls per round of each leg over rounds in which its wrapper is the
     only one installed: `rounds` of each, interleaved, after one warm-up
     round; calls maps a query's kind to the function that answers it.
-    Every wrapped attribute is restored."""
+    A leg with no call in any round is listed as uncalled.  Every wrapped
+    attribute is restored."""
 
     def round_ns() -> int:
         t0 = time.perf_counter_ns()
@@ -112,6 +115,7 @@ def time_legs(rootmean, calls: dict, pool: list, legs, rounds: int) -> dict:
         "legs": {name: statistics.median(ns for ns, _ in t) / 1e6 for name, t in tallies.items()},
         "calls": {name: statistics.median_low(n for _, n in t) for name, t in tallies.items()},
         "absent": absent,
+        "uncalled": [name for name, t in tallies.items() if not any(n for _, n in t)],
     }
 
 
