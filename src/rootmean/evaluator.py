@@ -20,18 +20,21 @@ significand, so one uint64 reduction sums each run of at most 2**11 roots
 without a conversion (_exact_runs).  The pass plans its runs a window of
 chunks at a time: one sorted array of cuts per window, and after its
 chunks one vectorised check, one exact prefix and one lookup of the
-marks, so no Python runs per chunk beyond the numpy calls.
+marks, all numpy calls, so no Python runs per run or per mark.
 Each rounded root is charged its own half spacing: no run crosses a
 binade, so all roots of a run share one.  That gives an integer bracket
 of 2**54 times the sum at each mark, whose midpoint is the exact sum of
 the rounded roots and whose half-width is half the sum of their
-spacings, which no chunk, window or mark placement can move; it is
-returned as two lists aligned with the marks, and _oracle_brackets is
-its front for marks in any order.  Every oracle answer is that bracket
+spacings, which no chunk, window or mark placement can move.  The pass
+holds it in int64 arrays aligned with the marks: the midpoint as two
+limbs, high 2**_LIMB + low, and the half-width as one integer, none of
+which can overflow for any pass it accepts.  Python integers are made
+only where an answer leaves the oracle: _oracle_brackets, its front for
+marks in any order, and so every oracle answer, which is that bracket
 rounded outward once.  sweep_theorem1 checks Theorem 1, floor(Sigma(n)) =
 floor(A(n)), for every n up to a limit by reading the bracket only at the
 two ends of each block on which floor(A(n)) is constant, and takes the
-floors in integers: Sigma(n) increases, so the ends pin the block; an
+floors in int64 arrays: Sigma(n) increases, so the ends pin the block; an
 end whose bracket straddles an integer is decided by the Euler-Maclaurin
 bracket instead.  The oracle is the only code here that loads numpy, and
 every direct summation refuses more than 10**8 terms before any work.
@@ -40,15 +43,15 @@ every direct summation refuses more than 10**8 terms before any work.
 from __future__ import annotations
 
 import decimal
-from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, lshift, ne, or_, rshift, sub
+from itertools import repeat
+from operator import add, lshift, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _scaled
 from .asymptotic import (
     Enclosure, _check_float_range, _outward, _real_number, _Record, _round_up
 )
-from .exactfloor import _as_index, alpha_floor, floor_A_exact
+from .exactfloor import _as_index, floor_A_exact
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,12 +73,14 @@ __all__ = [
 # holds the least.
 _CHUNK = 1 << 15
 # Chunks per planning window.  A window's cuts, exponent checks and readout
-# are a few numpy calls and one Python pass over its runs and marks, so the
-# fixed cost of planning is paid once per _WINDOW chunks, not per chunk.
-# In-process rounds of the sweep pool (seeds 7 and 601, 2 cores) took 227
-# and 242 ms at 4 chunks, 216 and 224 at 8, 209 and 215 at 16; but from 16
-# on a window's run-sized arrays outgrow those of a 2**18-term pass, and a
-# long pass would hold more than a short one (22 KB more at 2**21).
+# are a few numpy calls, so the fixed cost of planning is paid once per
+# _WINDOW chunks, not per chunk.  In-process rounds of the sweep pool
+# (seeds 7 and 601, 2 cores), measured when the prefix was still summed in
+# Python ints, took 227 and 242 ms at 4 chunks, 216 and 224 at 8, 209 and
+# 215 at 16; but from 16 on a window's run-sized arrays outgrow those of a
+# 2**18-term pass, and a long pass would hold more than a short one (22 KB
+# more at 2**21).  A window also holds at most _WINDOW _CHUNK = 2**18 runs,
+# whose low limbs then sum below 2**64 (_LIMB): 16 chunks could wrap them.
 _WINDOW = 8
 _RUN = 1 << 11  # a window cuts a run every _RUN roots: their 2**52 + f sum below 2**64
 # sqrt(4**e) is 2**e exactly, and the rounded sqrt(4**e - 1) stays below
@@ -85,6 +90,14 @@ _BINADE_EDGES = tuple(4 ** e for e in range(1, 27))
 _MAX_TERMS = 10 ** 8  # the most terms one direct summation touches
 _MEAN_INSTEAD = "`rootmean mean` takes any n below 2**2046"  # past 2**53 and _MAX_TERMS
 _ORACLE_ONE = 1 << 54  # oracle unit 2**-54: half a spacing of a root >= 1 is whole
+# Bits of the low limb of an exact oracle sum, high 2**_LIMB + low.  The
+# high limb of a total of at most 10**8 roots below 2**27, under 2**107.1
+# units, stays below 2**62.1; a window's at most 2**18 + 1 low limbs sum
+# below 2**63.1 in uint64; and 2 <= E - 1021 <= 28 for every root of k <=
+# 2**53 keeps both shifts of _exact_runs below 64.  45 is the one width
+# that meets the first two bounds: TestLimbBounds checks them.
+_LIMB = 45
+_LOW = (1 << _LIMB) - 1
 
 
 def _check_terms(count: int, instead: str = _MEAN_INSTEAD) -> None:
@@ -97,12 +110,13 @@ def _check_terms(count: int, instead: str = _MEAN_INSTEAD) -> None:
 
 def _exact_runs(
     raw: np.ndarray, counts: np.ndarray, first: np.ndarray, last: np.ndarray
-) -> tuple[map, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact sums, in units of 2**-54, of runs of correctly rounded roots
     >= 1: run i holds counts[i] roots, first[i] and last[i] are the bit
     patterns of its first and last root, and raw[i] the uint64 sum of all
-    its bit patterns, mod 2**64.  Returns the sums (a map of Python ints)
-    and each run's biased exponent (int64).
+    its bit patterns, mod 2**64.  Returns (high, low, exps): run i sums to
+    high[i] 2**_LIMB + low[i] units, 0 <= low[i] < 2**_LIMB (high int64,
+    low uint64), and exps[i] is its biased exponent (int64).
 
     A root of biased exponent E and 52-bit fraction f is (2**52 + f)
     2**(E - 1075), that is (2**52 + f) << (E - 1021) units, and its bit
@@ -112,7 +126,11 @@ def _exact_runs(
     2**53, so at most _RUN = 2**11 of them sum below 2**64.  A run whose
     first and last roots differ in exponent, or that holds more than _RUN
     roots, is refused, never wrapped; the roots ascend, so equal exponents
-    at both ends hold for the whole run.  raw is overwritten."""
+    at both ends hold for the whole run.  The run's sum is raw << s units,
+    s = E - 1021: its high limb is raw >> (_LIMB - s), and its low limb
+    (raw << s) mod 2**_LIMB, which the uint64 shift keeps since 2**_LIMB
+    divides 2**64; 2 <= s <= 28 for roots of k <= 2**53.  raw is
+    overwritten."""
     import numpy as np
 
     binades = first >> 52
@@ -123,19 +141,30 @@ def _exact_runs(
             "run crosses a binade or holds more than 2**11 roots: its uint64 sum could wrap"
         )
     raw -= counts.view(np.uint64) * ((binades - 1) << 52)
-    exps = binades.view(np.int64)
-    return map(lshift, raw.tolist(), (exps - 1021).tolist()), exps
+    shifts = binades - 1021
+    low = (raw << shifts) & _LOW
+    high = np.right_shift(raw, _LIMB - shifts, out=raw)
+    return high.view(np.int64), low, binades.view(np.int64)
 
 
-def _oracle_pass(nu: int, marks) -> "tuple[list[int], list[int]]":
-    """(totals, charges), aligned with marks: at each mark m,
-    total - charge <= 2**54 sum_{k=nu}^{m} sqrt(k) <= total + charge, in
-    one pass over fixed chunks of _CHUNK terms.  The midpoint total is the
-    exact sum of the correctly rounded roots and the half-width charge half
-    the sum of their spacings, np.spacing(fl(sqrt(k))) for k = nu .. m,
-    whatever the chunks and windows.  The marks must be exact integers that
-    strictly increase from nu >= 1; anything else is refused, never
-    misread.  The one summation reader of the oracle.
+def _oracle_pass(nu: int, marks) -> np.ndarray:
+    """The int64 array [high, low, charge] of three rows aligned with
+    marks: at each mark m the exact total = high 2**_LIMB + low, 0 <= low <
+    2**_LIMB, and total - charge <= 2**54 sum_{k=nu}^{m} sqrt(k) <= total +
+    charge, in one pass over fixed chunks of _CHUNK terms.  The midpoint
+    total is the exact sum of the correctly rounded roots and the
+    half-width charge half the sum of their spacings, np.spacing(fl(sqrt(k)))
+    for k = nu .. m, whatever the chunks and windows.  The marks must be
+    exact integers that strictly increase from nu >= 1; anything else is
+    refused, never misread.  The one summation reader of the oracle.
+
+    No limb can overflow for any pass the oracle accepts, at most 10**8
+    terms of k <= 2**53 with a mark at every term: every root is at most
+    2**26.5, so a total is below 2**107.1 units and its high limb below
+    2**62.1; a charge is at most 10**8 2**27 < 2**54 units; and a window's
+    low limbs, one per run and at most _WINDOW _CHUNK = 2**18 runs, plus
+    the one carried in, sum below 2**63.1 in uint64 before they are
+    normalised into the high limb (_LIMB).
 
     The pass is planned a window of _WINDOW chunks at a time: one sorted
     array of cuts holds every _RUN-th term, the window's marks, the binade
@@ -143,31 +172,32 @@ def _oracle_pass(nu: int, marks) -> "tuple[list[int], list[int]]":
     The chunk loop then takes the roots in buf and sums each run of them
     that starts in the chunk with one uint64 reduceat of their bit
     patterns, and gathers each run's first and last bit pattern.
-    _exact_runs checks and reads the window's runs, and two accumulates
-    give the exact prefix and the charge at every cut.  Each root is
-    charged its own half spacing, 2**(E - 1022) units for a root of biased
-    exponent E; the roots of a run share E, as _exact_runs checks.  The
-    chunk's ramp and roots are made once and reused, so the pass stays in
+    _exact_runs checks and splits the window's runs into limbs, and
+    cumsums from the carry in give the exact prefix and the charge at
+    every cut.  Each root is charged its own half spacing, 2**(E - 1022)
+    units for a root of biased exponent E; the roots of a run share E, as
+    _exact_runs checks.  The chunk's ramp and roots are one block made
+    once per pass, of which only the ramp is filled, so the pass stays in
     cache, and a window's run arrays are freed before the next window is
     planned.  a + ramp is exact since every k <= 2**53."""
-    if not len(marks):
-        return [], []
-    top = _check_float_range(marks[-1], "n", _MEAN_INSTEAD)
     import numpy as np
 
+    if not len(marks):
+        return np.zeros((3, 0), dtype=np.int64)
+    top = _check_float_range(marks[-1], "n", _MEAN_INSTEAD)
     marks = np.asarray(marks)
     if marks.dtype.kind != "i":
         raise TypeError(f"oracle marks must be integers, got {marks.dtype}")
     if marks[0] < nu or not (marks[1:] > marks[:-1]).all():  # no int64 difference to wrap
         raise ValueError(f"oracle marks must increase strictly from nu = {nu}")
-    totals: list[int] = []
-    charges: list[int] = []
-    total = charge = 0
+    out = np.empty((3, len(marks)), dtype=np.int64)
+    high = low = charge = 0  # the exact prefix and charge carried into a window
     size = min(_CHUNK, top - nu + 1)
     # one block for the ramp and the roots: the allocator keeps a single
     # 512 KiB block on its heap between passes, where two 256 KiB ones were
     # mapped afresh and faulted in on every pass
-    ramp, buf = np.arange(2 * size, dtype=np.float64).reshape(2, size)
+    ramp, buf = np.empty((2, size))
+    ramp[:] = np.arange(size, dtype=np.float64)
     bits = buf.view(np.uint64)
     span = _WINDOW * _CHUNK
     windows = range(nu, top + 1, span)
@@ -191,29 +221,39 @@ def _oracle_pass(nu: int, marks) -> "tuple[list[int], list[int]]":
             np.add.reduceat(bits[:m], starts[r:t], out=raw[r:t])
             first[r:t] = bits[starts[r:t]]
             last[r:t] = bits[lasts[r:t]]
-        sums, exps = _exact_runs(raw, counts, first, last)
-        prefix = list(accumulate(sums, initial=total))
+        highs, lows, exps = _exact_runs(raw, counts, first, last)
         # at most _RUN 2**27 units per run: roots stay below 2**27 for k <= 2**53
-        spent = list(accumulate((counts << (exps - 1022)).tolist(), initial=charge))
-        at = np.searchsorted(cuts, ends).tolist()  # the runs before each mark's end
-        totals.extend(map(prefix.__getitem__, at))
-        charges.extend(map(spent.__getitem__, at))
-        total, charge = prefix[-1], spent[-1]
-        del ends, cuts, counts, starts, lasts, raw, first, last, sums, exps, prefix, spent
-    return totals, charges
+        spent = counts << (exps - 1022)
+        highs[0] += high
+        lows[0] += low
+        spent[0] += charge
+        np.cumsum(highs, out=highs)
+        np.cumsum(lows, out=lows)
+        np.cumsum(spent, out=spent)
+        highs += (lows >> _LIMB).view(np.int64)
+        lows &= _LOW
+        at = np.searchsorted(cuts, ends) - 1  # the last run before each mark's end
+        out[0, i:j] = highs[at]
+        out[1, i:j] = lows.view(np.int64)[at]
+        out[2, i:j] = spent[at]
+        high, low, charge = highs[-1], lows[-1], spent[-1]
+        del ends, cuts, counts, starts, lasts, raw, first, last, highs, lows, exps, spent, at
+    return out
 
 
 def _oracle_brackets(nu: int, marks) -> "dict[int, tuple[int, int]]":
     """{m: (lo, hi)} with lo <= 2**54 sum_{k=nu}^{m} sqrt(k) <= hi at each
     mark m >= nu: the marks are validated, de-duplicated and sorted, held
-    to 2**53 and to _MAX_TERMS terms, then read by _oracle_pass."""
+    to 2**53 and to _MAX_TERMS terms, then read by _oracle_pass, whose
+    limbs become Python integers here."""
     marks = sorted({_as_index(m) for m in marks})
     if not marks:
         return {}
     if marks[0] < nu:
         raise ValueError("need nu <= n")
     _check_terms(_check_float_range(marks[-1], "n", _MEAN_INSTEAD) - nu + 1)
-    totals, charges = _oracle_pass(nu, marks)
+    high, low, charges = _oracle_pass(nu, marks).tolist()
+    totals = list(map(add, map(lshift, high, repeat(_LIMB)), low))
     return dict(zip(marks, zip(map(sub, totals, charges), map(add, totals, charges))))
 
 
@@ -401,43 +441,69 @@ def _oracle_mean_many(ns) -> "dict[int, Enclosure]":
     }
 
 
-def _floor_blocks(max_n: int) -> "tuple[list[int], list[int]]":
-    """(starts, ends): the blocks on which floor(A(n)) is constant, covering
-    [1, max_n] in order.  Block m = i + 1 runs from starts[i] =
-    alpha(m-1) + 1 to ends[i] = alpha(m), and the last, m = floor(A(max_n)),
-    is cut at max_n.  Every threshold comes from alpha_floor and the exact
-    floor is checked at both ends of every block, which pins the block since
-    A is increasing; the last block's threshold must reach max_n."""
-    ms = list(range(1, floor_A_exact(max_n) + 1))
-    ends = list(map(alpha_floor, ms))
+def _floor_blocks(max_n: int) -> "tuple[np.ndarray, np.ndarray]":
+    """(starts, ends), int64 arrays: the blocks on which floor(A(n)) is
+    constant, covering [1, max_n] in order.  Block m = i + 1 runs from
+    starts[i] = alpha(m-1) + 1 to ends[i] = alpha(m), and the last, m =
+    floor(A(max_n)), is cut at max_n.  Every threshold is alpha_floor's
+    (9 (m+1)**2 - 8) // 4, taken over the whole table at once, and
+    _check_blocks checks the exact floor at both ends of every block,
+    which pins the block since A is increasing; the last block's
+    threshold must reach max_n."""
+    import numpy as np
+
+    ms = np.arange(1, floor_A_exact(max_n) + 1)
+    ends = (9 * (ms + 1) ** 2 - 8) // 4
     reach = ends[-1]
     ends[-1] = max_n
-    starts = [1, *map((1).__add__, ends[:-1])]
-    if (
-        reach < max_n
-        or list(map(floor_A_exact, starts)) != ms
-        or list(map(floor_A_exact, ends)) != ms
-    ):
-        raise AssertionError("alpha threshold table disagrees with exact floor")
+    starts = np.concatenate(([1], ends[:-1] + 1))
+    if reach < max_n:
+        raise AssertionError("alpha threshold table does not reach max_n")
+    _check_blocks(starts, ends)
     return starts, ends
 
 
-def _oracle_floors(marks) -> "list[int]":
-    """floor(Sigma(n)) at each mark n, which must strictly increase from 1:
-    from the oracle's integer bracket, or, where the bracket straddles an
-    integer, from the Euler-Maclaurin bracket _scaled.partial_sum_enc(n),
-    one O(1) read proven independently of the summation."""
-    totals, charges = _oracle_pass(1, marks)
-    # floor(x / (n 2**54)) = floor(floor(x / 2**54) / n) for integers x
-    floors = list(map(floordiv, map(rshift, map(sub, totals, charges), repeat(54)), marks))
-    highs = map(floordiv, map(rshift, map(add, totals, charges), repeat(54)), marks)
-    undecided = list(compress(range(len(floors)), map(ne, floors, highs)))
+def _check_blocks(starts: np.ndarray, ends: np.ndarray) -> None:
+    """Raise AssertionError unless floor_A_exact(n) = m = i + 1 at both
+    ends n of every block i, decided for the whole table at once by
+    floor_A_exact's own formula: isqrt((4n + 6) // 9) = m exactly when m**2
+    <= (4n + 6) // 9 < (m + 1)**2, all in int64 for n <= 10**8 (and far
+    beyond)."""
+    import numpy as np
+
+    ms = np.arange(1, len(starts) + 1)
+    for ns in (starts, ends):
+        radicands = (4 * ns + 6) // 9
+        if not ((ms * ms <= radicands) & (radicands < (ms + 1) ** 2)).all():
+            raise AssertionError("alpha threshold table disagrees with exact floor")
+
+
+def _oracle_floors(marks: np.ndarray) -> np.ndarray:
+    """floor(Sigma(n)) at each mark n of an int64 array, whose marks must
+    strictly increase from 1, as an int64 array: from the oracle's integer
+    bracket, or, where the bracket straddles an integer, from the
+    Euler-Maclaurin bracket _scaled.partial_sum_enc(n), one O(1) read
+    proven independently of the summation.
+
+    Both ends x = total -+ charge are floored in int64: with q = high >>
+    (54 - _LIMB), total = q 2**54 + rest, 0 <= rest < 2**54, so
+    floor(x / 2**54) = q + (rest -+ charge) >> 54, and floor(x / (n 2**54))
+    = floor(floor(x / 2**54) / n) for integers x."""
+    import numpy as np
+
+    high, low, charges = _oracle_pass(1, marks)
+    step = 54 - _LIMB
+    q = high >> step
+    rest = ((high & ((1 << step) - 1)) << _LIMB) + low
+    floors = (q + ((rest - charges) >> 54)) // marks
+    highs = (q + ((rest + charges) >> 54)) // marks
+    undecided = np.flatnonzero(floors != highs).tolist()
     if len(undecided) > 64:
         raise AssertionError(
             f"{len(undecided)} straddling prefixes: error bounds degenerate"
         )
     for i in undecided:
-        n_i = marks[i]
+        n_i = int(marks[i])
         s_lo, s_hi = _scaled.partial_sum_enc(n_i)
         denom = n_i * _scaled.ONE
         f_lo, f_hi = s_lo // denom, s_hi // denom
@@ -459,9 +525,10 @@ def sweep_theorem1(max_n: int) -> tuple[int, list[tuple[int, int, int]]]:
     alpha(m)], about (4/3) sqrt(max_n) marks (1930 at 2**21).  Sigma(n) is
     strictly increasing (each new root exceeds the mean so far), so
     oracle floors m at both ends of block m give m <= Sigma(start) <=
-    Sigma(n) <= Sigma(end) < m + 1 for every n in it.  Where an end reads
-    another floor, every n of that block goes through the same reader, so
-    the mismatches are those a per-n check reports.
+    Sigma(n) <= Sigma(end) < m + 1 for every n in it.  The floors at the
+    ends are compared with m = 1, 2, ... as int64 arrays.  Where an end
+    reads another floor, every n of that block goes through the same
+    reader, so the mismatches are those a per-n check reports.
 
     An end whose bracket straddles an integer (n=1 does: Sigma(1) is
     exactly 1) is decided instead by the Euler-Maclaurin bracket
@@ -475,26 +542,22 @@ def sweep_theorem1(max_n: int) -> tuple[int, list[tuple[int, int, int]]]:
     """
     max_n = _as_index(max_n, name="max_n")
     _check_terms(max_n, "`rootmean floor` gives floor(Sigma(n)) for any n")
+    import numpy as np
 
     starts, ends = _floor_blocks(max_n)
-    marks = list(chain.from_iterable(zip(starts, ends)))
+    marks = np.stack((starts, ends), axis=1).ravel()
     # every block below the last holds at least alpha(1) = 7 terms; the
     # last, cut at max_n, may hold one n, read once for both of its ends
     single = marks[-2] == marks[-1]
+    floors = _oracle_floors(marks[:-1] if single else marks)
     if single:
-        marks.pop()
-    floors = _oracle_floors(marks)
-    if single:
-        floors.append(floors[-1])
-    ms = range(1, len(starts) + 1)
-    off = list(compress(ms, map(or_, map(ne, floors[0::2], ms), map(ne, floors[1::2], ms))))
-    if not off:
+        floors = np.append(floors, floors[-1])
+    ms = np.arange(1, len(starts) + 1)
+    off = ms[(floors[0::2] != ms) | (floors[1::2] != ms)]
+    if not off.size:
         return max_n, []
-    ns: list[int] = []
-    expected: list[int] = []
-    for m in off:
-        block = range(starts[m - 1], ends[m - 1] + 1)
-        ns += block
-        expected += [m] * len(block)
+    ns = np.concatenate([np.arange(starts[m - 1], ends[m - 1] + 1) for m in off.tolist()])
+    expected = np.repeat(off, (ends - starts + 1)[off - 1])
     floors = _oracle_floors(ns)
-    return max_n, [(n, m, f) for n, m, f in zip(ns, expected, floors) if f != m]
+    bad = floors != expected
+    return max_n, list(zip(ns[bad].tolist(), expected[bad].tolist(), floors[bad].tolist()))

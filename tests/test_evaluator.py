@@ -24,10 +24,13 @@ from rootmean import _scaled, evaluator
 from rootmean.asymptotic import _round_up, delta_bounds, partial_sum_sqrt_enclosure
 from rootmean.evaluator import (
     _CHUNK,
+    _LIMB,
     _MAX_TERMS,
+    _RUN,
     _WINDOW,
     ErrorBudget,
     _certify,
+    _check_blocks,
     _exact_runs,
     _floor_blocks,
     _oracle_brackets,
@@ -38,7 +41,7 @@ from rootmean.evaluator import (
     oracle_sum_sqrt,
     sweep_theorem1,
 )
-from rootmean.exactfloor import floor_A_exact
+from rootmean.exactfloor import alpha_floor, floor_A_exact
 
 
 def mp_sqrt_sum(a: int, b: int) -> mp.mpf:
@@ -120,6 +123,20 @@ def passes(monkeypatch):
 
     monkeypatch.setattr(evaluator, "_oracle_pass", counted)
     return terms
+
+
+def pass_totals(out) -> "list[int]":
+    """The exact totals high 2**_LIMB + low of an _oracle_pass result."""
+    high, low, _ = out.tolist()
+    return [(h << _LIMB) + l for h, l in zip(high, low)]
+
+
+def pass_of(totals, charges) -> np.ndarray:
+    """The _oracle_pass result holding these totals and charges."""
+    low = (1 << _LIMB) - 1
+    return np.array(
+        [[t >> _LIMB for t in totals], [t & low for t in totals], charges], dtype=np.int64
+    )
 
 
 def counted_fast_mean(calls, n, epsilon, brackets=1):
@@ -682,6 +699,54 @@ class TestMeanDecomposition:
             _scaled.delta_enc(1, 1)
 
 
+class TestLimbBounds:
+    def test_worst_case_limbs_fit(self):
+        # the largest pass the oracle accepts: _MAX_TERMS roots of k up to
+        # 2**53, each below 2**27, with a mark at every term
+        assert math.sqrt(2 ** 53) < 2 ** 27
+        int64 = 2 ** 63
+        total = _MAX_TERMS * 2 ** 27 << 54  # units of 2**-54
+        charge = _MAX_TERMS * 2 ** 27  # half a spacing is at most 2**(26 - 53) = 2**27 units
+        assert total >> _LIMB < int64 and charge < int64
+        # a window's low limbs, one per run of at least one root, and the
+        # one carried in, summed in uint64 before normalisation
+        assert (_WINDOW * _CHUNK + 1) * ((1 << _LIMB) - 1) < 2 ** 64
+        # _exact_runs: a run's 2**52 + f sum, below 2**64, shifted by s =
+        # E - 1021 in [2, 28] for roots in [1, 2**27), and by _LIMB - s
+        assert _RUN * 2 ** 53 <= 2 ** 64 and 0 <= _LIMB - 28 and _LIMB - 2 < 64
+        # _oracle_floors: rest < 2**54 and q = high >> (54 - _LIMB)
+        assert 54 - _LIMB >= 0 and (1 << 54) + charge < int64 and (total >> 54) + 1 < int64
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_int64_floors_match_python_floors(self, seed):
+        # totals up to 2**107 units, each within 2**55 of a multiple k n
+        # 2**54 where the floor turns, and charges up to 2**54: wherever
+        # both ends of a bracket floor alike, the int64 floors of
+        # _oracle_floors are Python's floors of the limbs, and every other
+        # bracket, and no more, goes to the Euler-Maclaurin bracket, here a
+        # stand-in that reads floor -1
+        rng = random.Random(seed)
+        ns, totals, charges, expected = [], [], [], []
+        straddles = 0
+        while len(ns) < 2000:
+            n = rng.randrange(1, _MAX_TERMS + 1)
+            k = rng.randrange(2 ** 53 // n + 1)
+            c = rng.choice([0, 1, 2 ** 54, rng.randrange(2 ** 54)])
+            d = rng.choice([c, c - 1, (1 << 54) - c - 1, rng.randrange(-(2 ** 55), 2 ** 55)])
+            t = min(max((k * n << 54) + d, 0), 2 ** 107 - 1)
+            lo, hi = (t - c) // (n << 54), (t + c) // (n << 54)
+            if lo != hi:
+                if straddles == 60:
+                    continue
+                straddles, lo = straddles + 1, -1
+            ns.append(n), totals.append(t), charges.append(c), expected.append(lo)
+        assert straddles == 60
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluator, "_oracle_pass", lambda nu, marks: pass_of(totals, charges))
+            patch.setattr(_scaled, "partial_sum_enc", lambda n: (-n * _scaled.ONE,) * 2)
+            assert evaluator._oracle_floors(np.array(ns)).tolist() == expected
+
+
 class TestSweep:
     def test_expected_table_matches_exact_floor(self):
         # the floor blocks partition [1, 5000] in order, and every n lies in
@@ -695,6 +760,37 @@ class TestSweep:
         assert sorted(owner) == list(range(1, 5001))
         for n in range(1, 5001):
             assert owner[n] == floor_A_exact(n)
+
+    def test_table_at_max_terms_matches_exact_floor(self):
+        # the largest table the sweep builds tiles [1, 10**8] in order, its
+        # thresholds are alpha_floor's, and floor_A_exact reads m at both
+        # ends of every block m
+        starts, ends = _floor_blocks(_MAX_TERMS)
+        ms = list(range(1, len(starts) + 1))
+        assert starts[0] == 1 and ends[-1] == _MAX_TERMS
+        assert (starts[1:] == ends[:-1] + 1).all()
+        assert ends[:-1].tolist() == list(map(alpha_floor, ms[:-1]))
+        assert list(map(floor_A_exact, starts.tolist())) == ms
+        assert list(map(floor_A_exact, ends.tolist())) == ms
+
+    @pytest.mark.parametrize("block", [0, 3333, -2])
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_shifted_block_end_is_refused(self, block, shift):
+        # the table at 10**8 with one block end shifted by one, and the next
+        # block's start with it, so that the blocks still tile [1, 10**8]:
+        # the vectorised check of the exact floor at both ends refuses it
+        starts, ends = _floor_blocks(_MAX_TERMS)
+        ends[block] += shift
+        starts[block + 1] += shift
+        with pytest.raises(AssertionError, match="disagrees"):
+            _check_blocks(starts, ends)
+
+    def test_table_with_a_block_too_many_is_refused(self, monkeypatch):
+        # a top floor one too high makes a last block whose end, max_n,
+        # reads another floor: _floor_blocks runs the check on its table
+        monkeypatch.setattr(evaluator, "floor_A_exact", lambda n: floor_A_exact(n) + 1)
+        with pytest.raises(AssertionError, match="disagrees"):
+            _floor_blocks(10 ** 4)
 
     def test_clean_small(self):
         assert sweep_theorem1(10 ** 4) == (10 ** 4, [])
@@ -726,32 +822,36 @@ class TestSweep:
         return reads
 
     def test_straddling_block_end_is_decided_by_euler_maclaurin(self, monkeypatch, straddled):
-        # a reader whose bracket at the end of block m = 40 is widened
-        # until it straddles 41: the sweep decides that end, and n = 1,
-        # from one O(1) Euler-Maclaurin bracket each
-        end = _floor_blocks(10 ** 4)[1][39]
+        # a reader whose bracket at the end of block m = 40 is moved onto
+        # 41, so that it straddles it (an int64 charge cannot widen it that
+        # far): the sweep decides that end, and n = 1, from one O(1)
+        # Euler-Maclaurin bracket each
+        end = int(_floor_blocks(10 ** 4)[1][39])
         seen = []
 
-        def widened(nu, ns, real=evaluator._oracle_pass):
-            totals, charges = real(nu, ns)
-            i = ns.index(end)
-            charges[i] = abs(totals[i] - (41 * end << 54)) + 1
+        def straddling(nu, ns, real=evaluator._oracle_pass):
+            out = real(nu, ns)
+            totals, charges = pass_totals(out), out[2].tolist()
+            i = ns.tolist().index(end)
+            totals[i] = 41 * end << 54
             lo, hi = totals[i] - charges[i], totals[i] + charges[i]
             seen.append((lo // (end << 54), hi // (end << 54)))
-            return totals, charges
+            return pass_of(totals, charges)
 
-        monkeypatch.setattr(evaluator, "_oracle_pass", widened)
+        monkeypatch.setattr(evaluator, "_oracle_pass", straddling)
         assert sweep_theorem1(10 ** 4) == (10 ** 4, [])
         assert seen == [(40, 41)]
         assert straddled == [1, end]
 
     def test_more_than_64_straddles_raise(self, monkeypatch, straddled):
-        # a reader whose every bracket reaches from 0 to twice the sum
-        # straddles at each of the 132 block ends up to 10**4: degenerate
-        # bounds fail loudly before any end is decided
+        # a reader whose every bracket is centred on the integer nearest
+        # the mean straddles at each of the 132 block ends up to 10**4:
+        # degenerate bounds fail loudly before any end is decided
         def degenerate(nu, ns, real=evaluator._oracle_pass):
-            totals, _ = real(nu, ns)
-            return totals, totals
+            out = real(nu, ns)
+            unit = [n << 54 for n in ns.tolist()]
+            totals = [(t + u // 2) // u * u for t, u in zip(pass_totals(out), unit)]
+            return pass_of(totals, out[2].tolist())
 
         monkeypatch.setattr(evaluator, "_oracle_pass", degenerate)
         with pytest.raises(AssertionError, match="straddling"):
@@ -772,16 +872,18 @@ class TestSweep:
 
         def shifted(nu, ns, real=evaluator._oracle_pass):
             reads.append(len(ns))
-            totals, charges = real(nu, ns)
+            out = real(nu, ns)
+            totals = pass_totals(out)
             for i, n in enumerate(ns):
                 if n in bad:
-                    totals[i] += n << 54
-            return totals, charges
+                    totals[i] += int(n) << 54
+            return pass_of(totals, out[2].tolist())
 
         monkeypatch.setattr(evaluator, "_oracle_pass", shifted)
         flagged = []
         for n in range(start, end + 1):
-            (total,), (charge,) = shifted(1, [n])
+            out = shifted(1, [n])
+            (total,), (charge,) = pass_totals(out), out[2].tolist()
             lo, hi = total - charge, total + charge
             if lo // (n << 54) == hi // (n << 54) != m:
                 flagged.append((n, m, lo // (n << 54)))
@@ -793,14 +895,15 @@ class TestSweep:
     def test_one_point_last_block_is_checked(self, monkeypatch):
         # a sweep that stops on the first n of block 41 reads that n once,
         # as both ends of its block, and still reports a shifted Sigma there
-        max_n = _floor_blocks(10 ** 4)[0][40]
+        max_n = int(_floor_blocks(10 ** 4)[0][40])
         starts, ends = _floor_blocks(max_n)
         assert starts[-1] == ends[-1] == max_n
         assert sweep_theorem1(max_n) == (max_n, [])
 
         def shifted(nu, ns, real=evaluator._oracle_pass):
-            totals, charges = real(nu, ns)
-            return [t + (n << 54) * (n == max_n) for n, t in zip(ns, totals)], charges
+            out = real(nu, ns)
+            totals = [t + (n << 54) * (n == max_n) for n, t in zip(ns.tolist(), pass_totals(out))]
+            return pass_of(totals, out[2].tolist())
 
         monkeypatch.setattr(evaluator, "_oracle_pass", shifted)
         assert sweep_theorem1(max_n) == (max_n, [(max_n, 41, 42)])
@@ -901,10 +1004,10 @@ def run_sums(roots, cuts):
     checked and shifted by _exact_runs."""
     bits = roots.view(np.uint64)
     starts, stops = cuts[:-1], cuts[1:]
-    sums, exps = _exact_runs(
+    high, low, exps = _exact_runs(
         np.add.reduceat(bits, starts), stops - starts, bits[starts], bits[stops - 1]
     )
-    return list(sums), exps.tolist()
+    return pass_totals(np.array([high, low.view(np.int64), exps])), exps.tolist()
 
 
 class TestExactChunkSum:
@@ -1108,8 +1211,15 @@ class TestBitIdentity:
             (7, [7, 8, 15, 16, 17, *_EDGE_MARKS[6:], _CHUNK + 6, _CHUNK + 7, 10 ** 6]),
             (4 ** 20 - 3, [4 ** 20 + d for d in (-3, -2, -1, 0, 1, 2, _CHUNK, 10 ** 5)]),
             (2 ** 52, [2 ** 52 + 1, 2 ** 52 + _CHUNK - 1, 2 ** 52 + _CHUNK, 2 ** 52 + 10 ** 5 - 1]),
+            # a mark at every term up to 2**53: a first window of 2**18
+            # one-root runs, the most whose low limbs one window sums, then
+            # the window boundary and a second window
+            (2 ** 53 - _SPAN_W - 999, list(range(2 ** 53 - _SPAN_W - 999, 2 ** 53 + 1))),
         ],
-        ids=["block-ends-2^21", "binade-edges", "chunk", "window", "nu=7", "nu=4^20-3", "nu=2^52"],
+        ids=[
+            "block-ends-2^21", "binade-edges", "chunk", "window", "nu=7", "nu=4^20-3", "nu=2^52",
+            "every-term-to-2^53",
+        ],
     )
     def test_brackets_match_frozen_pass(self, nu, marks):
         new = _oracle_brackets(nu, marks)
@@ -1131,11 +1241,13 @@ class TestBitIdentity:
         reads = []
 
         def frozen(nu, marks):
-            # the frozen brackets in the list reader's form
+            # the frozen brackets in the array reader's form
             reads.append(len(marks))
-            brackets = _frozen_oracle_brackets(nu, marks)
-            lo, hi = zip(*map(brackets.__getitem__, marks))
-            return [(a + b) // 2 for a, b in zip(lo, hi)], [(b - a) // 2 for a, b in zip(lo, hi)]
+            brackets = _frozen_oracle_brackets(nu, marks.tolist())
+            lo, hi = zip(*map(brackets.__getitem__, marks.tolist()))
+            return pass_of(
+                [(a + b) // 2 for a, b in zip(lo, hi)], [(b - a) // 2 for a, b in zip(lo, hi)]
+            )
 
         monkeypatch.setattr(evaluator, "_oracle_pass", frozen)
         assert result == sweep_theorem1(max_n)
@@ -1159,11 +1271,12 @@ class TestBitIdentity:
         for marks in ([2.5, 3.9], [True], [1, 2.0]):
             with pytest.raises(TypeError):
                 _oracle_pass(1, marks)
-        assert _oracle_pass(1, []) == ([], [])
+        assert _oracle_pass(1, []).shape == (3, 0)
         # the dict front sorts and de-duplicates, and still refuses what
         # is not an exact integer
         front = _oracle_brackets(1, [9, 3, 9, 5, 3])
-        totals, charges = _oracle_pass(1, [3, 5, 9])
+        out = _oracle_pass(1, [3, 5, 9])
+        totals, charges = pass_totals(out), out[2].tolist()
         assert front == {m: (t - c, t + c) for m, t, c in zip([3, 5, 9], totals, charges)}
         for marks in ([2.5, 3.9], [True]):
             with pytest.raises(TypeError):
